@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -30,15 +31,6 @@ def format_rat(q: RatLike) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def pair_indices(n: int) -> list[tuple[int, int]]:
@@ -361,9 +353,7 @@ class SymZMat:
         exhaustive verifiers run on the integer vector.
         """
         vec = self.upper_vector()
-        denom = 1
-        for v in vec:
-            denom = denom * v.denominator // _gcd(denom, v.denominator)
+        denom = math.lcm(*(v.denominator for v in vec))
         return [int(v * denom) for v in vec], denom
 
     def __add__(self, other: "SymZMat") -> "SymZMat":
@@ -414,17 +404,14 @@ class SymZMat:
         entries = {}
         for item in obj.get("entries", []):
             k, l, text = item
-            entries[(int(k), int(l))] = parse_rat(str(text))
+            key = (int(k), int(l))
+            if key in entries:
+                raise ValueError(f"duplicate matrix entry ({key[0]},{key[1]})")
+            entries[key] = parse_rat(str(text))
         return cls(int(obj["n"]), entries)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json())
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def inner_product(a: SymZMat, b: SymZMat) -> Fraction:

@@ -11,11 +11,12 @@ and evaluate the two families of valid inequalities used downstream
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import Perm, RatLike, SymZMat, Word, binomial, inner_product
+from .core import Perm, RatLike, SymZMat, Word, inner_product
 
 
 def embed(x: Sequence[RatLike]) -> SymZMat:
@@ -134,7 +135,7 @@ def decomposition_cone_check(x: Sequence[RatLike], pi: Perm) -> bool:
         vals = [Fraction(v) for v in x]
         if sum(vals) != 0:
             raise ValueError(f"point is not in the zero-sum hyperplane: {vals}")
-        scale = 2 * _lcm_of([v.denominator for v in vals])
+        scale = 2 * math.lcm(*(v.denominator for v in vals))
         xs = [int(v * scale) for v in vals]
     # 2 v_pi scaled by scale/2 stays integral for every parity of n
     vp = [(2 * pi(j) - (n + 1)) * (scale // 2) for j in range(1, n + 1)]
@@ -148,19 +149,6 @@ def decomposition_cone_check(x: Sequence[RatLike], pi: Perm) -> bool:
     ys = [a - b for a, b in zip(xs, vp)]
     rhs = all(ys[order[r]] <= ys[order[r + 1]] for r in range(n - 1))
     return lhs == rhs
-
-
-def _igcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _lcm_of(vals) -> int:
-    out = 1
-    for v in vals:
-        out = out * v // _igcd(out, v)
-    return out
 
 
 @dataclass(frozen=True)
@@ -214,7 +202,7 @@ def qn_facet_value(m: SymZMat) -> Fraction:
     Zero exactly on the permutation polytope, positive in the interior
     directions of the cut cone.
     """
-    return inner_product(SymZMat.all_ones(m.n), m) - 2 * binomial(m.n + 1, 3)
+    return inner_product(SymZMat.all_ones(m.n), m) - 2 * math.comb(m.n + 1, 3)
 
 
 @dataclass(frozen=True)

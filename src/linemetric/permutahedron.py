@@ -9,11 +9,12 @@ comparisons.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import Perm, Rat, Word, binomial
+from .core import Perm, Rat, Word
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ def facet_rhs(u: Word) -> int:
     """Right-hand side of the facet inequality sum_{j in U} x_j >= C(|U|+1, 2)
     for the permutahedron in its untranslated coordinates."""
     _require_proper(u)
-    return binomial(u.size + 1, 2)
+    return math.comb(u.size + 1, 2)
 
 
 def incident(pi: Perm, u: Word) -> bool:

@@ -16,6 +16,7 @@ skip that portion.
 """
 
 import itertools
+import math
 import os
 import random
 from fractions import Fraction
@@ -48,7 +49,6 @@ from linemetric import (
     verify_certificate_plain,
     word_classes,
 )
-from linemetric.core import binomial
 
 
 def id_pair(u_text):
@@ -192,9 +192,9 @@ DISPATCH_BRANCH_WORDS = {
 }
 
 
-def test_criterion_4_synthesis_totality_n_le_7():
+def test_criterion_4_synthesis_totality_n_le_9():
     edges = witnesses = 0
-    for n in range(3, 8):
+    for n in range(3, 10):
         pi = Perm.identity(n)
         for u in word_classes(n):
             pair = HalfLinePair(pi, u)
@@ -205,8 +205,8 @@ def test_criterion_4_synthesis_totality_n_le_7():
             else:
                 assert non_edge_witness(pair).holds()
                 witnesses += 1
-    assert edges == sum(2 ** (n - 1) - n for n in range(4, 8)) + 2
-    ok(4, f"n<=7 at the identity vertex: {edges} edges certified, {witnesses} non-edges witnessed")
+    assert edges == sum(2 ** (n - 1) - n for n in range(4, 10)) + 2
+    ok(4, f"n<=9 at the identity vertex: {edges} edges certified, {witnesses} non-edges witnessed")
 
 
 def test_criterion_4_every_dispatch_branch_lifts():
@@ -372,7 +372,7 @@ def test_criterion_7_spreading_inequalities():
 def test_criterion_8_bounded_facet():
     for n in range(3, 8):
         ones = SymZMat.all_ones(n)
-        rhs = 2 * binomial(n + 1, 3)
+        rhs = 2 * math.comb(n + 1, 3)
         perm_vals = {}
         for images in itertools.permutations(range(1, n + 1)):
             val = inner_product(ones, perm_metric(Perm(images)))

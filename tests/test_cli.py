@@ -112,6 +112,29 @@ class TestCertify:
         )
         assert code == 2
 
+    def test_verify_only_rejects_duplicate_entries(self, capsys, tmp_path):
+        # a repeated (k, l) must not silently replace the first value: the
+        # file would then name a matrix other than the one verified
+        from linemetric import base_certificate
+
+        obj = base_certificate("C_1001").matrix.to_json()
+        obj["entries"].append([1, 3, "5"])
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(
+            capsys, "certify", "4", "--u", "1001", "--verify-only", str(path)
+        )
+        assert code == 64 and out == ""
+        assert err == "usage error: duplicate matrix entry (1,3)\n"
+
+    def test_certify_and_reverify_at_n12(self, capsys, tmp_path):
+        out_path = tmp_path / "cert.json"
+        argv = ["certify", "12", "--pi", "3,4,11,7,8,1,5,6,12,9,2,10", "--u", "110110110110"]
+        code, out, _ = run(capsys, *argv, "--emit", str(out_path))
+        assert code == 0 and out.startswith("pass (")
+        code, out, _ = run(capsys, *argv, "--verify-only", str(out_path))
+        assert code == 0 and out.startswith("pass (")
+
     def test_default_vertex_is_identity(self, capsys):
         code, out, _ = run(capsys, "certify", "4", "--u", "1001")
         assert code == 0

@@ -166,6 +166,11 @@ class TestSymZMat:
         again = SymZMat.from_json(json.loads(json.dumps(m.to_json())))
         assert again == m
 
+    def test_json_rejects_duplicate_entries(self):
+        obj = {"n": 3, "entries": [[1, 2, "1"], [2, 3, "4"], [1, 2, "-5"]]}
+        with pytest.raises(ValueError, match=r"duplicate matrix entry \(1,2\)"):
+            SymZMat.from_json(obj)
+
     def test_json_omits_zeros(self):
         m = SymZMat(3, {(1, 2): 0, (1, 3): 5})
         assert m.to_json()["entries"] == [[1, 3, "5"]]
