@@ -7,11 +7,8 @@ __version__ = "0.1.0"
 
 from .core import (
     Perm,
-    Rat,
     SymZMat,
     Word,
-    WordStructure,
-    antipode,
     conjugate,
     format_rat,
     inner_product,
@@ -19,11 +16,8 @@ from .core import (
     parse_rat,
     perm_classes,
     word_classes,
-    word_structure,
 )
 from .permutahedron import (
-    PermVertex,
-    PolarVertex,
     facet_rhs,
     in_normal_cone,
     incident,

@@ -39,9 +39,8 @@ from .edge_theory import (
     non_edge_witness,
     symmetry_transport,
     verify_certificate,
-    verify_for_pair,
 )
-from .permutahedron import incident_sets
+from .permutahedron import incident, incident_sets
 
 
 @dataclass(frozen=True)
@@ -154,16 +153,11 @@ def face_certificate(n: int, excluded: Iterable[Word] = ()) -> SymZMat:
     mat = path_certificate(n)
     bump = {}
     for u in excluded:
-        if not incident(u):
+        if not incident(Perm.identity(n), u):
             raise ValueError(f"{u} is not incident to the identity")
         j = max(u.elements)
         bump[(j, j + 1)] = bump.get((j, j + 1), Fraction(0)) + 1
     return mat + SymZMat(n, bump)
-
-
-def incident(u: Word) -> bool:
-    """Incidence to the identity: U is a prefix [k]."""
-    return u.is_proper() and u.elements == frozenset(range(1, u.size + 1))
 
 
 @dataclass(frozen=True)
@@ -271,12 +265,13 @@ def _embed_block(mat: SymZMat, n: int, offset: int) -> SymZMat:
     return SymZMat(n, entries)
 
 
-def induct_alternating(n: int, verify: bool = True) -> SymZMat:
+def induct_alternating(n: int) -> SymZMat:
     """Strict-system certificate for the alternating word of [n], n >= 7.
 
     Grows two coordinates at a time: the certificate for n-2 sits in the
     leading block, a copy of the length-5 or length-6 base in the trailing
-    block, and their sum certifies the alternating word of [n].
+    block, and their sum certifies the alternating word of [n], which the
+    exhaustive verifier confirms before the matrix is returned.
     """
     if n < 7:
         raise ValueError("induction starts at n = 7; lengths 5 and 6 are base cases")
@@ -286,11 +281,9 @@ def induct_alternating(n: int, verify: bool = True) -> SymZMat:
     while size < n:
         size += 2
         cert = _embed_block(cert, size, 0) + _embed_block(base, size, size - base.n)
-    if verify:
-        word = alternating_word(n)
-        report = verify_certificate(cert, _id_pair(word), "plain")
-        if not report.passed:
-            raise AssertionError(f"alternating induction failed at n={n}: {report.offender}")
+    report = verify_certificate(cert, _id_pair(alternating_word(n)), "plain")
+    if not report.passed:
+        raise AssertionError(f"alternating induction failed at n={n}: {report.offender}")
     return cert
 
 
@@ -345,12 +338,12 @@ def _search_lift(
     k: int,
     condition: str,
     max_search: int,
-) -> tuple[SymZMat, Word, str, Fraction, Fraction]:
+) -> tuple[SymZMat, Word, str, Fraction, Fraction, VerifyReport]:
     """Find omega/epsilon (and a sign configuration) making the lift verify.
 
     Doubling/halving search: omega = 2^t, epsilon = 2^-t.  Every candidate
     is checked exhaustively, so the returned certificate is proven, not
-    guessed.
+    guessed; the passing report is returned with it.
     """
     target = None
     last = None
@@ -367,7 +360,7 @@ def _search_lift(
                 step = f"lift:pos={position},k={k},omega={format_rat(omega)},epsilon={format_rat(eps)}"
                 if swapped:
                     step += ",signs=swapped"
-                return candidate, target, step, omega, eps
+                return candidate, target, step, omega, eps, report
     raise RuntimeError(
         f"lift search exhausted after {max_search} doublings at word {word}, "
         f"position {position}, k={k}; last margins {last.margins_json()}"
@@ -442,6 +435,7 @@ def synthesize(pair: HalfLinePair, max_search: int = 24) -> EdgeCertificate:
     construction: list[str] = []
     omega = Fraction(1)
     epsilon = Fraction(1)
+    report = None
 
     if word.slopes() == 1:
         k = word.size
@@ -463,22 +457,25 @@ def synthesize(pair: HalfLinePair, max_search: int = 24) -> EdgeCertificate:
             if want == have:
                 continue
             position = 1 + sum(_runs_of(current)[:idx])
-            cert, current, step, omega, epsilon = _search_lift(
+            cert, current, step, omega, epsilon, report = _search_lift(
                 cert, current, position, want - have, condition, max_search
             )
             construction.append(step)
         if current != word:
             raise AssertionError(f"lift chain ended at {current}, wanted {word}")
 
-    report = verify_certificate(cert, _id_pair(word), condition)
-    if not report.passed:
-        raise AssertionError(f"synthesized certificate failed verification: {report.offender}")
+    if report is None:  # no lift ran, so nothing has verified cert yet
+        report = verify_certificate(cert, _id_pair(word), condition)
+        if not report.passed:
+            raise AssertionError(f"synthesized certificate failed verification: {report.offender}")
     if not sigma.is_identity():
+        # verify_for_pair(cert, pair, .) verifies conjugate(cert, sigma^-1);
+        # when that is exactly id_cert, the report above is its result
+        id_cert = cert
         cert = conjugate(cert, sigma)
         construction.append(f"conjugate:sigma={sigma}")
-        report = verify_for_pair(cert, pair, condition)
-        if not report.passed:
-            raise AssertionError(f"transported certificate failed verification: {report.offender}")
+        if conjugate(cert, sigma.inverse()) != id_cert:
+            raise AssertionError(f"transported certificate does not conjugate back under {sigma}")
     return EdgeCertificate(
         pair=pair,
         matrix=cert,

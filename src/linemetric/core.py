@@ -12,11 +12,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-Rat = Fraction
 RatLike = Union[int, Fraction]
 
 
@@ -118,10 +116,6 @@ class Perm:
         return frozenset(inv(v) for v in elems)
 
 
-def antipode(pi: Perm) -> Perm:
-    return pi.antipode()
-
-
 def perm_classes(n: int) -> Iterator[Perm]:
     """One representative per antipodal pair {pi, pi^-}, the lex-smaller one."""
     for images in itertools.permutations(range(1, n + 1)):
@@ -210,29 +204,16 @@ class Word:
     def hills(self) -> list[tuple[int, int]]:
         """Maximal runs of 1s as closed 1-based intervals (start, end)."""
         self._require_proper()
-        return self._runs(1)
+        return [(start, end) for b, start, end in self.runs() if b == 1]
 
     def valleys(self) -> list[tuple[int, int]]:
         """Maximal runs of 0s as closed 1-based intervals (start, end)."""
         self._require_proper()
-        return self._runs(0)
+        return [(start, end) for b, start, end in self.runs() if b == 0]
 
     def is_alternating(self) -> bool:
         self._require_proper()
         return self.slopes() == self.n - 1
-
-    def _runs(self, value: int) -> list[tuple[int, int]]:
-        runs = []
-        start = None
-        for j, b in enumerate(self.bits, start=1):
-            if b == value and start is None:
-                start = j
-            elif b != value and start is not None:
-                runs.append((start, j - 1))
-                start = None
-        if start is not None:
-            runs.append((start, self.n))
-        return runs
 
     def runs(self) -> list[tuple[int, int, int]]:
         """All maximal runs left to right as (value, start, end)."""
@@ -248,24 +229,6 @@ class Word:
     def _require_proper(self):
         if not self.is_proper():
             raise ValueError(f"word {self} is empty or full; no slope structure")
-
-
-@dataclass(frozen=True)
-class WordStructure:
-    slopes: int
-    hills: tuple[tuple[int, int], ...]
-    valleys: tuple[tuple[int, int], ...]
-    alternating: bool
-
-
-def word_structure(u: Word) -> WordStructure:
-    """Slope count and hill/valley runs of a proper nonempty word."""
-    return WordStructure(
-        slopes=u.slopes(),
-        hills=tuple(u.hills()),
-        valleys=tuple(u.valleys()),
-        alternating=u.is_alternating(),
-    )
 
 
 def word_classes(n: int) -> Iterator[Word]:
@@ -383,12 +346,6 @@ class SymZMat:
 
     def __repr__(self) -> str:
         return f"SymZMat(n={self.n}, nonzeros={len(self.entries)})"
-
-    def pretty(self) -> str:
-        rows = self.rows()
-        cells = [[format_rat(v) for v in row] for row in rows]
-        width = max(len(c) for row in cells for c in row)
-        return "\n".join(" ".join(c.rjust(width) for c in row) for row in cells)
 
     def to_json(self) -> dict:
         """{'n': n, 'entries': [[k, l, 'p/q'], ...]} over the strict upper triangle."""

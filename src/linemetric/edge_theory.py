@@ -45,12 +45,23 @@ from .permutahedron import incident, over_the_ridge
 DEFAULT_EXHAUSTION_BOUND = 12
 
 
-def exhaustion_bound() -> int:
-    """Largest n the exhaustive verifiers accept; LINEMETRIC_MAX_N overrides."""
+def raised_bound(default: int) -> int:
+    """default, or LINEMETRIC_MAX_N where that is larger; it never lowers a bound."""
     env = os.environ.get("LINEMETRIC_MAX_N")
-    if env:
-        return int(env)
-    return DEFAULT_EXHAUSTION_BOUND
+    if not env:
+        return default
+    try:
+        value = int(env)
+    except ValueError:
+        value = None
+    if value is None or value < 3:
+        raise ValueError(f"LINEMETRIC_MAX_N must be an integer >= 3, got {env!r}")
+    return max(default, value)
+
+
+def exhaustion_bound() -> int:
+    """Largest n the exhaustive verifiers accept; LINEMETRIC_MAX_N may raise it."""
+    return raised_bound(DEFAULT_EXHAUSTION_BOUND)
 
 
 @dataclass(frozen=True)

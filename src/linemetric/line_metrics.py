@@ -102,11 +102,17 @@ def separated_membership(m: SymZMat) -> Optional[tuple[Perm, tuple[Fraction, ...
     x = recover_embedding(m)
     if x is None:
         return None
-    order = sorted(range(1, m.n + 1), key=lambda j: x[j - 1])
+    return _separated(x)
+
+
+def _separated(x: tuple[Fraction, ...]) -> Optional[tuple[Perm, tuple[Fraction, ...]]]:
+    """separated_membership's (pi, x), or None, from an already recovered embedding x."""
+    n = len(x)
+    order = sorted(range(1, n + 1), key=lambda j: x[j - 1])
     for a, b in zip(order, order[1:]):
         if x[b - 1] - x[a - 1] < 1:
             return None
-    images = [0] * m.n
+    images = [0] * n
     for rank, j in enumerate(order, start=1):
         images[j - 1] = rank
     pi = Perm(images)
@@ -126,17 +132,11 @@ def decomposition_cone_check(x: Sequence[RatLike], pi: Perm) -> bool:
     n = pi.n
     if len(x) != n:
         raise ValueError("size mismatch")
-    if all(type(v) is int for v in x):
-        if sum(x) != 0:
-            raise ValueError(f"point is not in the zero-sum hyperplane: {list(x)}")
-        scale = 2
-        xs = [2 * v for v in x]
-    else:
-        vals = [Fraction(v) for v in x]
-        if sum(vals) != 0:
-            raise ValueError(f"point is not in the zero-sum hyperplane: {vals}")
-        scale = 2 * math.lcm(*(v.denominator for v in vals))
-        xs = [int(v * scale) for v in vals]
+    if sum(x) != 0:
+        raise ValueError(f"point is not in the zero-sum hyperplane: {list(x)}")
+    # an int's denominator is 1, so ints and Fractions share this path
+    scale = 2 * math.lcm(*(v.denominator for v in x))
+    xs = [int(v * scale) for v in x]
     # 2 v_pi scaled by scale/2 stays integral for every parity of n
     vp = [(2 * pi(j) - (n + 1)) * (scale // 2) for j in range(1, n + 1)]
     order = [0] * n
@@ -224,7 +224,7 @@ def analyze_metric(m: SymZMat) -> LineMetric:
     x = recover_embedding(m)
     if x is None:
         return LineMetric(m, None, False)
-    sep = separated_membership(m)
+    sep = _separated(x)
     if sep is None:
         return LineMetric(m, x, False)
     pi, xs = sep

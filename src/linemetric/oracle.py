@@ -9,7 +9,8 @@ homogeneity, giving the system
     D . M(chi^U)            = 0,
 
 over the upper-triangle coordinates of D.  Feasibility is decided by a
-Phase-I simplex on the Farkas alternative, which has only C(n,2)+1 rows:
+Phase-I simplex, in fractions.Fraction arithmetic, on the Farkas
+alternative, which has only C(n,2)+1 rows:
 either a nonnegative combination of the constraint rows vanishes (the pair
 is not an edge, and the combination is the witness), or the Phase-I dual
 yields a separating matrix D (the pair is an edge).  Both witnesses are
@@ -21,33 +22,27 @@ the hull), verdicts are cached per relabeled cut class, and witnesses are
 carried back through the same exact isometry so they hold at the pair's
 own vertex; pass transport=False to solve the system directly at the
 given vertex instead.
+
+The oracle refuses n above oracle_bound(), 6 by default; LINEMETRIC_MAX_N
+may raise that bound but never lowers it.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .core import Perm, SymZMat, Word, conjugate, pair_indices, perm_classes, word_classes
-from .edge_theory import HalfLinePair, symmetry_transport
+from .edge_theory import HalfLinePair, raised_bound, symmetry_transport
 from .line_metrics import cut_metric, perm_metric
-
-try:  # pure speedup; everything works on fractions.Fraction alone
-    from gmpy2 import mpq as _rat
-except ImportError:  # pragma: no cover
-    _rat = Fraction
 
 DEFAULT_ORACLE_BOUND = 6
 
 
 def oracle_bound() -> int:
-    """Largest n the oracle accepts; LINEMETRIC_MAX_N overrides."""
-    env = os.environ.get("LINEMETRIC_MAX_N")
-    if env:
-        return int(env)
-    return DEFAULT_ORACLE_BOUND
+    """Largest n the oracle accepts; LINEMETRIC_MAX_N may raise it."""
+    return raised_bound(DEFAULT_ORACLE_BOUND)
 
 
 @dataclass(frozen=True)
@@ -93,20 +88,20 @@ def _phase_one(rows: list[list], e: list) -> tuple:
     nrows = dim + 1
     ncols = m + 2  # y columns, then lam split into lam+ and lam-
     total = ncols + nrows
-    zero = _rat(0)
-    one = _rat(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     A = [[zero] * total for _ in range(nrows)]
     b = [zero] * nrows
     for i, r in enumerate(rows):
         for kk in range(dim):
             if r[kk]:
-                A[kk][i] = _rat(r[kk])
+                A[kk][i] = r[kk]
         A[dim][i] = one
     for kk in range(dim):
         if e[kk]:
-            A[kk][m] = _rat(e[kk])
-            A[kk][m + 1] = _rat(-e[kk])
+            A[kk][m] = e[kk]
+            A[kk][m + 1] = -e[kk]
     b[dim] = one
 
     basis = []
@@ -174,16 +169,15 @@ def _phase_one(rows: list[list], e: list) -> tuple:
         y = [Fraction(0)] * m
         lam = Fraction(0)
         for r, bv in enumerate(basis):
-            val = Fraction(int((b[r]).numerator), int((b[r]).denominator))
             if bv < m:
-                y[bv] = val
+                y[bv] = b[r]
             elif bv == m:
-                lam += val
+                lam += b[r]
             elif bv == m + 1:
-                lam -= val
+                lam -= b[r]
         return "solved", y, lam
     v = [one - obj[ncols + r] for r in range(nrows)]
-    return "blocked", [Fraction(int(x.numerator), int(x.denominator)) for x in v], None
+    return "blocked", v, None
 
 
 def _decide_at_vertex(pi: Perm, u: Word) -> tuple:
@@ -222,12 +216,7 @@ def _decide_at_vertex(pi: Perm, u: Word) -> tuple:
                 raise AssertionError("separating matrix failed re-verification")
         if sum(a * x for a, x in zip(e, d)) != 0:
             raise AssertionError("separating matrix misses the target hyperplane")
-        entries = {
-            pair: Fraction(val)
-            for pair, val in zip(pair_indices(n), d)
-            if val != 0
-        }
-        return True, SymZMat(n, entries), None, None, None
+        return True, SymZMat(n, dict(zip(pair_indices(n), d))), None, None, None
     _, y, lam = outcome
     combo = [lam * ei for ei in e]
     weight = Fraction(0)
@@ -250,9 +239,7 @@ def _decide_at_vertex(pi: Perm, u: Word) -> tuple:
 _cache: dict = {}
 
 
-def oracle_classify(
-    pair: HalfLinePair, bound: Optional[int] = None, transport: bool = True
-) -> OracleVerdict:
+def oracle_classify(pair: HalfLinePair, transport: bool = True) -> OracleVerdict:
     """Decide edge-ness by exact LP feasibility, independent of classify.
 
     With transport=True (default) the pair is relabeled to the identity
@@ -263,11 +250,10 @@ def oracle_classify(
     n = pair.n
     if n < 3:
         raise ValueError("oracle needs n >= 3")
-    limit = bound if bound is not None else oracle_bound()
+    limit = oracle_bound()
     if n > limit:
         raise ValueError(
-            f"oracle refuses n={n} above bound {limit} "
-            "(set LINEMETRIC_MAX_N or pass bound= to raise it)"
+            f"oracle refuses n={n} above bound {limit} (set LINEMETRIC_MAX_N to raise it)"
         )
     if not transport:
         is_edge, mat, dp, dc, dt = _decide_at_vertex(pair.pi, pair.u)

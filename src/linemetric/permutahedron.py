@@ -10,32 +10,16 @@ comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import Perm, Rat, Word
+from .core import Perm, RatLike, Word
 
 
-@dataclass(frozen=True)
-class PermVertex:
+def perm_vertex(pi: Perm) -> tuple[Fraction, ...]:
     """Vertex of the centered permutahedron: v_j = pi(j) - (n+1)/2."""
-
-    pi: Perm
-    v: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class PolarVertex:
-    """Vertex of the polar dual named by a proper nonempty subset U."""
-
-    u: Word
-    w: tuple[Fraction, ...]
-
-
-def perm_vertex(pi: Perm) -> PermVertex:
     shift = Fraction(pi.n + 1, 2)
-    return PermVertex(pi, tuple(Fraction(v) - shift for v in pi.images))
+    return tuple(Fraction(v) - shift for v in pi.images)
 
 
 def facet_rhs(u: Word) -> int:
@@ -95,16 +79,17 @@ def over_ridge_sets(pi: Perm) -> list[Word]:
     return out
 
 
-def polar_vertex(u: Word) -> PolarVertex:
-    """w_U = 2/(n(n-k)) chi^(complement U) - 2/(kn) chi^U with k = |U|."""
+def polar_vertex(u: Word) -> tuple[Fraction, ...]:
+    """Vertex of the polar dual named by U:
+    w_U = 2/(n(n-k)) chi^(complement U) - 2/(kn) chi^U with k = |U|."""
     _require_proper(u)
     n, k = u.n, u.size
     pos = Fraction(2, n * (n - k))
     neg = Fraction(-2, k * n)
-    return PolarVertex(u, tuple(neg if b else pos for b in u.bits))
+    return tuple(neg if b else pos for b in u.bits)
 
 
-def in_normal_cone(x: Sequence[Rat], pi: Perm) -> bool:
+def in_normal_cone(x: Sequence[RatLike], pi: Perm) -> bool:
     """Membership of x in the normal cone at the vertex of pi.
 
     Requires x in Lambda (zero coordinate sum); the cone is x_k <= x_l

@@ -255,8 +255,8 @@ def test_criterion_5b_cone_disjointness():
     checked = 0
     for n in (3, 4, 5):
         for pi in perm_classes(n):
-            v = perm_vertex(pi).v
-            gens = [polar_vertex(u).w for u in incident_sets(pi)]
+            v = perm_vertex(pi)
+            gens = [polar_vertex(u) for u in incident_sets(pi)]
             for _ in range(40):
                 coeffs = [Fraction(rnd.randint(0, 8), rnd.choice([1, 2])) for _ in gens]
                 x = [
@@ -290,7 +290,7 @@ def test_criterion_5c_embedding_map_identities():
     for _ in range(150):
         n = rnd.randint(3, 6)
         pi = Perm(rnd.sample(range(1, n + 1), n))
-        gens = [polar_vertex(u).w for u in incident_sets(pi)]
+        gens = [polar_vertex(u) for u in incident_sets(pi)]
 
         def cone_point():
             coeffs = [Fraction(rnd.randint(0, 6), rnd.choice([1, 2])) for _ in gens]

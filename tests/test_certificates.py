@@ -17,6 +17,8 @@ from fractions import Fraction
 
 import pytest
 
+import linemetric.certificates as certificates
+import linemetric.edge_theory as edge_theory
 from linemetric import (
     HalfLinePair,
     LiftPlan,
@@ -36,6 +38,7 @@ from linemetric import (
     verify_for_pair,
 )
 from linemetric.certificates import BASE_NAMES, _id_pair
+from test_acceptance import DISPATCH_BRANCH_WORDS
 
 
 class TestBaseLibrary:
@@ -279,7 +282,7 @@ class TestSynthesize:
     def test_random_vertices_random_words(self):
         rnd = random.Random(43)
         for _ in range(25):
-            n = rnd.randint(4, 6)
+            n = rnd.randint(4, 8)
             pi = Perm(rnd.sample(range(1, n + 1), n))
             bits = [rnd.randint(0, 1) for _ in range(n)]
             u = Word(bits)
@@ -296,3 +299,25 @@ class TestSynthesize:
             else:
                 with pytest.raises(NonEdgeError):
                     synthesize(pair)
+
+    def test_each_matrix_verified_once(self, monkeypatch):
+        # within one synthesis, a lift search's passing report is the
+        # certificate's report, and the move to another vertex is checked by
+        # an exact round trip; separate syntheses may share lift candidates
+        calls = []
+        verify = edge_theory.verify_certificate
+
+        def recording(d, pair, condition):
+            calls.append((d, pair.u.canonical(), condition))
+            return verify(d, pair, condition)
+
+        monkeypatch.setattr(edge_theory, "verify_certificate", recording)
+        monkeypatch.setattr(certificates, "verify_certificate", recording)
+        for text in DISPATCH_BRANCH_WORDS:
+            n = len(text)
+            pi = Perm([*range(2, n + 1), 1])
+            u = Word.from_set(n, pi.preimage_of_set(Word.parse(text).elements))
+            calls.clear()
+            cert = synthesize(HalfLinePair(pi, u))
+            assert cert.construction[-1] == f"conjugate:sigma={pi}"
+            assert len(calls) == len(set(calls)), text

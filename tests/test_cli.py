@@ -156,6 +156,20 @@ class TestCertify:
         assert code == 0 and "pass" in out
 
 
+class TestMaxN:
+    def test_raising_the_oracle_bound_keeps_the_verifier_bound(self, capsys, monkeypatch):
+        monkeypatch.setenv("LINEMETRIC_MAX_N", "7")
+        code, out, _ = run(capsys, "certify", "9", "--u", "110011001")
+        assert code == 0 and out.startswith("pass")
+
+    @pytest.mark.parametrize("value", ["x", "2"])
+    def test_bad_value_is_a_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("LINEMETRIC_MAX_N", value)
+        code, out, err = run(capsys, "certify", "5", "--u", "11001")
+        assert code == 64 and out == ""
+        assert err.count("\n") == 1 and "LINEMETRIC_MAX_N must be an integer" in err
+
+
 class TestCheckMetric:
     def test_separated_metric(self, capsys, tmp_path):
         path = write_matrix(tmp_path / "m.json", perm_metric(Perm.identity(3)))

@@ -25,7 +25,6 @@ from linemetric import (
     inner_product,
     parse_rat,
     perm_metric,
-    word_structure,
 )
 from linemetric.core import pair_indices, perm_classes, word_classes
 
@@ -104,25 +103,26 @@ class TestWord:
         assert w.complement().complement() == w
 
     def test_structure_1001(self):
-        s = word_structure(Word.parse("1001"))
-        assert s.slopes == 2
-        assert s.hills == ((1, 1), (4, 4))
-        assert s.valleys == ((2, 3),)
-        assert not s.alternating
+        w = Word.parse("1001")
+        assert w.slopes() == 2
+        assert w.hills() == [(1, 1), (4, 4)]
+        assert w.valleys() == [(2, 3)]
+        assert not w.is_alternating()
 
     def test_structure_10101_alternating(self):
-        s = word_structure(Word.parse("10101"))
-        assert s.slopes == 4
-        assert s.alternating
+        w = Word.parse("10101")
+        assert w.slopes() == 4
+        assert w.is_alternating()
 
     def test_structure_1110(self):
-        assert word_structure(Word.parse("1110")).slopes == 1
+        assert Word.parse("1110").slopes() == 1
 
     def test_structure_rejects_empty_and_full(self):
-        with pytest.raises(ValueError):
-            word_structure(Word.parse("000"))
-        with pytest.raises(ValueError):
-            word_structure(Word.parse("111"))
+        for text in ("000", "111"):
+            w = Word.parse(text)
+            for structure in (w.slopes, w.hills, w.valleys, w.is_alternating):
+                with pytest.raises(ValueError):
+                    structure()
 
     def test_slopes_complement_invariant(self):
         rnd = random.Random(5)

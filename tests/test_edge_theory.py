@@ -154,9 +154,13 @@ class TestVerifiers:
             verify_certificate_farkas(SymZMat.zero(4), pair)
 
     def test_exhaustion_bound(self, monkeypatch):
-        monkeypatch.setenv("LINEMETRIC_MAX_N", "4")
+        monkeypatch.delenv("LINEMETRIC_MAX_N", raising=False)
         with pytest.raises(ValueError, match="too large"):
-            verify_certificate_farkas(SymZMat.zero(5), id_pair("10010"))
+            verify_certificate_farkas(SymZMat.zero(13), id_pair("1" + "0" * 12))
+        # a value below the verifier's default, meant for the oracle, leaves it alone
+        monkeypatch.setenv("LINEMETRIC_MAX_N", "7")
+        rep = verify_certificate_farkas(SymZMat.zero(9), id_pair("110011001"))
+        assert not rep.passed and "target" in rep.offender
 
     def test_antipodal_vertex_accepted(self):
         pair = HalfLinePair(Perm.identity(4).antipode(), Word.parse("1001"))

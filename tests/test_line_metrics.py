@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+import linemetric.line_metrics as line_metrics
 from linemetric import (
     Perm,
     SymZMat,
@@ -170,7 +171,7 @@ class TestConeIdentity:
     def test_vertex_and_dilate(self):
         for n in (3, 4, 5):
             pi = Perm.identity(n)
-            v = perm_vertex(pi).v
+            v = perm_vertex(pi)
             assert decomposition_cone_check(v, pi)
             assert decomposition_cone_check([2 * a for a in v], pi)
 
@@ -252,7 +253,7 @@ class TestLinearityOnCones:
         for _ in range(80):
             n = rnd.randint(3, 6)
             pi = Perm(rnd.sample(range(1, n + 1), n))
-            gens = [polar_vertex(u).w for u in incident_sets(pi)]
+            gens = [polar_vertex(u) for u in incident_sets(pi)]
 
             def cone_point():
                 coeffs = [Fraction(rnd.randint(0, 5), rnd.choice([1, 2])) for _ in gens]
@@ -273,3 +274,15 @@ class TestAnalyze:
         assert flat.embeddable and not flat.separated
         non = analyze_metric(SymZMat(3, {(1, 2): 1, (2, 3): 1, (1, 3): 3}))
         assert not non.embeddable
+
+    def test_recovers_the_embedding_once(self, monkeypatch):
+        calls = []
+        recover = line_metrics.recover_embedding
+
+        def counting(m):
+            calls.append(m)
+            return recover(m)
+
+        monkeypatch.setattr(line_metrics, "recover_embedding", counting)
+        info = analyze_metric(embed([0, 2, 5, 9]))
+        assert info.separated and len(calls) == 1

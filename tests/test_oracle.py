@@ -166,15 +166,10 @@ class TestBounds:
         with pytest.raises(ValueError, match="bound"):
             oracle_classify(pair)
 
-    def test_explicit_bound_override(self):
-        # bound= raises the gate for this call only
-        verdict = oracle_classify(id_pair("101"), bound=3)
-        assert verdict.is_edge is False
-
     def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("LINEMETRIC_MAX_N", "4")
-        with pytest.raises(ValueError, match="bound"):
-            oracle_classify(id_pair("10010"))
+        monkeypatch.setenv("LINEMETRIC_MAX_N", "7")
+        with pytest.raises(ValueError, match="bound 7"):
+            oracle_classify(id_pair("10101010"))
 
     def test_too_small(self):
         with pytest.raises(ValueError):

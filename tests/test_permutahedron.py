@@ -139,7 +139,7 @@ class TestOverTheRidge:
 
 class TestPolarVertex:
     def test_example_n3(self):
-        w = polar_vertex(Word.parse("100")).w
+        w = polar_vertex(Word.parse("100"))
         assert w == (Fraction(-2, 3), Fraction(1, 3), Fraction(1, 3))
 
     def test_antisymmetry_under_complement(self):
@@ -150,16 +150,16 @@ class TestPolarVertex:
             u = Word(bits)
             if not u.is_proper():
                 continue
-            w = polar_vertex(u).w
-            wc = polar_vertex(u.complement()).w
+            w = polar_vertex(u)
+            wc = polar_vertex(u.complement())
             assert all(a == -b for a, b in zip(w, wc))
             assert sum(w) == 0
 
     def test_pairing_with_incident_vertices_n4(self):
         for pi in all_perms(4):
-            v = perm_vertex(pi).v
+            v = perm_vertex(pi)
             for u in all_proper_words(4):
-                pairing = sum(a * b for a, b in zip(polar_vertex(u).w, v))
+                pairing = sum(a * b for a, b in zip(polar_vertex(u), v))
                 if incident(pi, u):
                     assert pairing == 1
                 else:
@@ -173,7 +173,7 @@ class TestPolarVertex:
 class TestNormalCone:
     def test_vertex_in_own_cone_s4(self):
         for pi in all_perms(4):
-            assert in_normal_cone(perm_vertex(pi).v, pi)
+            assert in_normal_cone(perm_vertex(pi), pi)
 
     def test_origin_in_every_cone(self):
         for pi in all_perms(4):
@@ -182,7 +182,7 @@ class TestNormalCone:
     def test_polar_vertex_in_cone_iff_incident_n4(self):
         for pi in all_perms(4):
             for u in all_proper_words(4):
-                assert in_normal_cone(polar_vertex(u).w, pi) == incident(pi, u)
+                assert in_normal_cone(polar_vertex(u), pi) == incident(pi, u)
 
     def test_rejects_points_off_hyperplane(self):
         with pytest.raises(ValueError):
@@ -190,5 +190,5 @@ class TestNormalCone:
 
     def test_vertex_sum_zero(self):
         for n in (3, 4, 5, 6):
-            v = perm_vertex(Perm.identity(n)).v
+            v = perm_vertex(Perm.identity(n))
             assert sum(v) == 0
