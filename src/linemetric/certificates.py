@@ -273,6 +273,11 @@ def induct_alternating(n: int) -> SymZMat:
     block, and their sum certifies the alternating word of [n], which the
     exhaustive verifier confirms before the matrix is returned.
     """
+    return _induct_alternating(n)[0]
+
+
+def _induct_alternating(n: int) -> tuple[SymZMat, VerifyReport]:
+    """induct_alternating's matrix with the passing report that confirmed it."""
     if n < 7:
         raise ValueError("induction starts at n = 7; lengths 5 and 6 are base cases")
     base = plain_alternating_base(5 if n % 2 == 1 else 6)
@@ -284,7 +289,7 @@ def induct_alternating(n: int) -> SymZMat:
     report = verify_certificate(cert, _id_pair(alternating_word(n)), "plain")
     if not report.passed:
         raise AssertionError(f"alternating induction failed at n={n}: {report.offender}")
-    return cert
+    return cert, report
 
 
 def alternating_word(n: int) -> Word:
@@ -371,12 +376,14 @@ def _runs_of(word: Word) -> list[int]:
     return [end - start + 1 for _, start, end in word.runs()]
 
 
-def _dispatch_base(word: Word) -> tuple[str, SymZMat, Word, str]:
+def _dispatch_base(word: Word) -> tuple[str, SymZMat, Word, str, VerifyReport | None]:
     """Pick the reduction target for an id-pair edge word starting with 1.
 
-    Returns (tag, matrix, base word, condition).  Two slopes go to 1001 or
-    11011, three slopes to 10110 or 10010 by the hill/valley length
-    pattern, and four or more slopes contract to the alternating word.
+    Returns (tag, matrix, base word, condition, report); report is the
+    alternating induction's passing report, None for a library base.  Two
+    slopes go to 1001 or 11011, three slopes to 10110 or 10010 by the
+    hill/valley length pattern, and four or more slopes contract to the
+    alternating word.
     """
     s = word.slopes()
     runs = _runs_of(word)
@@ -387,7 +394,7 @@ def _dispatch_base(word: Word) -> tuple[str, SymZMat, Word, str]:
         # both hills of length >= 2 go to 11011, anything else to 1001
         name = "C_11011" if (a >= 2 and c >= 2) else "C_1001"
         cert = base_certificate(name)
-        return f"base:{name}", cert.matrix, cert.word, cert.condition
+        return f"base:{name}", cert.matrix, cert.word, cert.condition, None
     if s == 3:
         a, b, c, d = runs
         if b == 1 and c == 1:
@@ -401,21 +408,17 @@ def _dispatch_base(word: Word) -> tuple[str, SymZMat, Word, str]:
         else:
             name = "C_10010"
         cert = base_certificate(name)
-        return f"base:{name}", cert.matrix, cert.word, cert.condition
+        return f"base:{name}", cert.matrix, cert.word, cert.condition, None
     # s >= 4: contract every run to length one
     m = s + 1
     if m == 5:
         cert = base_certificate("C_10101")
-        return "base:C_10101", cert.matrix, cert.word, cert.condition
+        return "base:C_10101", cert.matrix, cert.word, cert.condition, None
     if m == 6:
         cert = base_certificate("C_101010")
-        return "base:C_101010", cert.matrix, cert.word, cert.condition
-    return (
-        f"base:alternating-induction,n={m}",
-        induct_alternating(m),
-        alternating_word(m),
-        "plain",
-    )
+        return "base:C_101010", cert.matrix, cert.word, cert.condition, None
+    cert, report = _induct_alternating(m)
+    return f"base:alternating-induction,n={m}", cert, alternating_word(m), "plain", report
 
 
 def synthesize(pair: HalfLinePair, max_search: int = 24) -> EdgeCertificate:
@@ -444,7 +447,7 @@ def synthesize(pair: HalfLinePair, max_search: int = 24) -> EdgeCertificate:
         condition = "plain"
         construction.append(f"face:prefix={k}")
     else:
-        tag, cert, base_word, condition = _dispatch_base(word)
+        tag, cert, base_word, condition, report = _dispatch_base(word)
         construction.append(tag)
         current = base_word
         target_runs = _runs_of(word)
@@ -464,7 +467,7 @@ def synthesize(pair: HalfLinePair, max_search: int = 24) -> EdgeCertificate:
         if current != word:
             raise AssertionError(f"lift chain ended at {current}, wanted {word}")
 
-    if report is None:  # no lift ran, so nothing has verified cert yet
+    if report is None:  # neither a lift nor the induction has verified cert yet
         report = verify_certificate(cert, _id_pair(word), condition)
         if not report.passed:
             raise AssertionError(f"synthesized certificate failed verification: {report.offender}")

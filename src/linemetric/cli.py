@@ -1,9 +1,12 @@
 """Command-line surface: enumeration, certification, membership, cross-checks.
 
 Exit codes are stable: 0 success, 2 verification failure, 3 synthesis
-requested for a non-edge pair, 64 usage error.  All numeric output is
-exact rational text; JSON mode wraps results in a run report with the
-command echo and library version.
+requested for a non-edge pair, 64 usage error (bad arguments, input files
+or LINEMETRIC_MAX_N), 70 internal error (a failed internal consistency
+check, such as a synthesized certificate that does not verify).  Errors
+print one line on stderr, never a traceback.  All numeric output is exact
+rational text; JSON mode wraps results in a run report with the command
+echo and library version.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 2
 EXIT_NON_EDGE = 3
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70
 
 
 class _Usage(Exception):
@@ -332,13 +336,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        exhaustion_bound()  # a malformed LINEMETRIC_MAX_N is a usage error for every command
         return args.func(args)
-    except _Usage as exc:
+    except (_Usage, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except AssertionError as exc:
+        print(f"internal error: {str(exc) or 'assertion failed'}", file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

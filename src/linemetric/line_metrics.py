@@ -176,23 +176,38 @@ def spreading_check(m: SymZMat) -> SpreadingReport:
 
     Every unit-separated line metric satisfies the strong form; cut metrics
     violate it, which makes the check a usable non-membership filter.
+
+    Each row i is scaled by 4 * lcm(denominators) once, so both bounds are
+    integers and the subset sums fill one table of 2^(n-1) ints, one
+    addition per subset: n 2^(n-1) additions in all, one row table at a
+    time.  floor((s+1)^2/4) >= s(s+2)/4, so every weak violation is also a
+    strong one and the weak bound is only tested on strong violators.
+    Violations come in order of i, then of the subset's bit mask over the
+    other indices in ascending order.
     """
     n = m.n
     strong, weak = [], []
-    others = list(range(1, n + 1))
+    strong_rhs = [Fraction((s + 1) ** 2 // 4) for s in range(n)]
+    weak_rhs = [Fraction(s * (s + 2), 4) for s in range(n)]
     for i in range(1, n + 1):
-        rest = [j for j in others if j != i]
-        row = {j: m.get(i, j) for j in rest}
-        for mask in range(1, 2 ** len(rest)):
-            subset = [rest[t] for t in range(len(rest)) if mask >> t & 1]
-            s = len(subset)
-            lhs = sum(row[j] for j in subset)
-            strong_rhs = Fraction((s + 1) ** 2 // 4)
-            weak_rhs = Fraction(s * (s + 2), 4)
-            if lhs < strong_rhs:
-                strong.append(SpreadingViolation(i, frozenset(subset), lhs, strong_rhs))
-            if lhs < weak_rhs:
-                weak.append(SpreadingViolation(i, frozenset(subset), lhs, weak_rhs))
+        rest = [j for j in range(1, n + 1) if j != i]
+        row = [m.get(i, j) for j in rest]
+        scale = 4 * math.lcm(*(v.denominator for v in row))
+        w = [v.numerator * (scale // v.denominator) for v in row]
+        strong_bound = [int(b) * scale for b in strong_rhs]
+        weak_bound = [s * (s + 2) * (scale // 4) for s in range(n)]
+        sums = [0] * (1 << len(rest))
+        for mask in range(1, len(sums)):
+            low = mask & -mask
+            total = sums[mask ^ low] + w[low.bit_length() - 1]
+            sums[mask] = total
+            s = mask.bit_count()
+            if total < strong_bound[s]:
+                subset = frozenset(j for t, j in enumerate(rest) if mask >> t & 1)
+                lhs = Fraction(total, scale)
+                strong.append(SpreadingViolation(i, subset, lhs, strong_rhs[s]))
+                if total < weak_bound[s]:
+                    weak.append(SpreadingViolation(i, subset, lhs, weak_rhs[s]))
     return SpreadingReport(tuple(strong), tuple(weak))
 
 

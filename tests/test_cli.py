@@ -1,13 +1,15 @@
 """Command-line surface: output formats and stable exit codes.
 
 Exit code contract: 0 success, 2 verification failure, 3 non-edge in
-synthesis, 64 usage error.
+synthesis, 64 usage error, 70 internal error.
 """
 
+import dataclasses
 import json
 
 import pytest
 
+import linemetric.certificates as certificates
 from linemetric import Perm, Word, cut_metric, perm_metric
 from linemetric.cli import main
 
@@ -168,6 +170,36 @@ class TestMaxN:
         code, out, err = run(capsys, "certify", "5", "--u", "11001")
         assert code == 64 and out == ""
         assert err.count("\n") == 1 and "LINEMETRIC_MAX_N must be an integer" in err
+
+    def test_bad_value_is_reported_for_a_non_edge(self, capsys, monkeypatch):
+        # 10100 is a non-edge: classification alone answers it, no bound is read
+        monkeypatch.setenv("LINEMETRIC_MAX_N", "x")
+        code, out, err = run(capsys, "certify", "5", "--u", "10100")
+        assert code == 64 and out == ""
+        assert err.count("\n") == 1 and "LINEMETRIC_MAX_N must be an integer" in err
+
+    def test_bad_value_is_reported_by_check_metric(self, capsys, monkeypatch, tmp_path):
+        path = write_matrix(tmp_path / "m.json", perm_metric(Perm.identity(4)))
+        monkeypatch.setenv("LINEMETRIC_MAX_N", "x")
+        code, out, err = run(capsys, "check-metric", "--matrix", path, "--spreading")
+        assert code == 64 and out == ""
+        assert err.count("\n") == 1 and "LINEMETRIC_MAX_N must be an integer" in err
+
+
+class TestInternalError:
+    def test_failed_synthesis_check_exits_70(self, capsys, monkeypatch):
+        # a verifier that rejects the synthesized certificate trips synthesize's
+        # own consistency check: an internal fault, not a usage error
+        verify = certificates.verify_certificate
+
+        def failing(d, pair, condition):
+            return dataclasses.replace(verify(d, pair, condition), passed=False, offender="planted")
+
+        monkeypatch.setattr(certificates, "verify_certificate", failing)
+        code, out, err = run(capsys, "certify", "4", "--u", "1001")
+        assert code == 70 and out == ""
+        assert err.count("\n") == 1 and err.startswith("internal error: ")
+        assert "planted" in err and "Traceback" not in err
 
 
 class TestCheckMetric:
