@@ -52,9 +52,6 @@ from .edge_theory import (
     non_edge_witness,
     symmetry_transport,
     verify_certificate,
-    verify_certificate_farkas,
-    verify_certificate_plain,
-    verify_for_pair,
 )
 from .certificates import (
     BASE_NAMES,

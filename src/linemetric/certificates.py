@@ -472,8 +472,9 @@ def synthesize(pair: HalfLinePair, max_search: int = 24) -> EdgeCertificate:
         if not report.passed:
             raise AssertionError(f"synthesized certificate failed verification: {report.offender}")
     if not sigma.is_identity():
-        # verify_for_pair(cert, pair, .) verifies conjugate(cert, sigma^-1);
-        # when that is exactly id_cert, the report above is its result
+        # lifts are defined at the identity, so the report above is for
+        # id_cert at (id, sigma(U)); it holds for cert at pair because
+        # conjugation by sigma is an exact isometry, checked by the round trip
         id_cert = cert
         cert = conjugate(cert, sigma)
         construction.append(f"conjugate:sigma={sigma}")

@@ -25,7 +25,7 @@ from .edge_theory import (
     enumerate_edges_at,
     exhaustion_bound,
     non_edge_witness,
-    verify_for_pair,
+    verify_certificate,
 )
 from .certificates import NonEdgeError, synthesize
 from .line_metrics import analyze_metric, qn_facet_value, spreading_check
@@ -122,7 +122,7 @@ def cmd_certify(args) -> int:
         conditions = [condition] if condition else ["farkas", "plain"]
         report = None
         for cond in conditions:
-            report = verify_for_pair(mat, pair, cond)
+            report = verify_certificate(mat, pair, cond)
             if report.passed:
                 break
         results = {**verdict.to_json(), **report.to_json()}

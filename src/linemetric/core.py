@@ -166,9 +166,6 @@ class Word:
     def elements(self) -> frozenset:
         return frozenset(j for j, b in enumerate(self.bits, start=1) if b)
 
-    def __contains__(self, j: int) -> bool:
-        return 1 <= j <= self.n and self.bits[j - 1] == 1
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Word) and self.bits == other.bits
 

@@ -7,24 +7,25 @@ the same matrices.  The main result implemented here: the half-line is an
 unbounded edge of the closed hull exactly when neither U nor its
 complement is over the ridge from pi.
 
-Certificates are checked exhaustively against all of S(n) and all proper
-subsets, in exact integer arithmetic after clearing denominators.  Every
-permutation metric is a sum of cut metrics along the chain of its prefix
-sets, so the minimum over S(n) is a shortest chain in the subset lattice
-and costs O(2^n n) instead of n!/2 evaluations; the minimising permutation
-is re-evaluated directly before it is reported.  Two inequality systems
-are supported:
+Certificates are checked at the pair's own vertex pi, exhaustively
+against all of S(n) and all proper subsets, in exact integer arithmetic
+after clearing denominators.  Every permutation metric is a sum of cut
+metrics along the chain of its prefix sets, so the minimum over S(n) is a
+shortest chain in the subset lattice and costs O(2^n n) instead of n!/2
+evaluations; the minimising permutation is re-evaluated directly before it
+is reported.  Two inequality systems are supported:
 
-  plain:   D.M(sigma) >  D.M(id) off the identity pair,
+  plain:   D.M(sigma) >  D.M(pi) off the pair of pi,
            D.M(chi^U') >  0      off the target class,
            D.M(chi^U)  =  0;
-  farkas:  C.M(sigma) >= C.M(id),
+  farkas:  C.M(sigma) >= C.M(pi),
            C.M(chi^U') >= 0,
            C.M(chi^U)  <  0.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +35,6 @@ from .core import (
     Perm,
     SymZMat,
     Word,
-    conjugate,
     format_rat,
     pair_indices,
     word_classes,
@@ -85,15 +85,6 @@ class HalfLinePair:
         """Representative of the four name variants: lex-smaller permutation
         of the antipodal pair, subset containing element 1."""
         return HalfLinePair(self.pi.canonical(), self.u.canonical())
-
-    def variants(self) -> tuple["HalfLinePair", ...]:
-        anti, comp = self.pi.antipode(), self.u.complement()
-        return (
-            self,
-            HalfLinePair(self.pi, comp),
-            HalfLinePair(anti, self.u),
-            HalfLinePair(anti, comp),
-        )
 
     def to_json(self) -> dict:
         return {"pi": str(self.pi), "u": str(self.u)}
@@ -146,10 +137,11 @@ def enumerate_edges_at(pi: Perm) -> list[Word]:
 class VerifyReport:
     """Outcome of an exhaustive certificate check with its exact extremal margins.
 
-    perm_min is the minimum of D.(M(sigma) - M(id)) over sigma outside the
-    identity pair, cut_min the minimum of D.M(chi^U') over subset classes
-    other than the target's, and target is D.M(chi^U).  All three are exact
-    over every permutation and cut.  perm_argmin is a minimising sigma,
+    perm_min is the minimum of D.(M(sigma) - M(pi)) over sigma outside the
+    antipodal pair of the vertex pi, cut_min the minimum of D.M(chi^U')
+    over subset classes other than the target's, and target is D.M(chi^U).
+    All three are exact over every permutation and cut.  Both argmins are
+    named in the pair's own coordinates.  perm_argmin is a minimising sigma,
     canonical (sigma <= sigma^-); when several tie it is not necessarily the
     lexicographically first.  cut_argmin is the first minimising class in
     word_classes order.
@@ -182,34 +174,18 @@ class VerifyReport:
         return out
 
 
-def _require_verifiable(d: SymZMat, pair: HalfLinePair):
-    if d.n != pair.n:
-        raise ValueError(f"dimension mismatch: matrix {d.n} vs pair {pair.n}")
-    if pair.n < 3:
-        raise ValueError("certificate verification needs n >= 3")
-    bound = exhaustion_bound()
-    if pair.n > bound:
-        raise ValueError(
-            f"too large: n={pair.n} exceeds the exhaustion bound {bound} "
-            "(set LINEMETRIC_MAX_N to raise it)"
-        )
-    if not pair.pi.canonical().is_identity():
-        raise ValueError(
-            "verifier requires pi = id; transport the pair and certificate first"
-        )
-
-
-def _margins(d: SymZMat, u: Word):
+def _margins(d: SymZMat, pi: Perm, u: Word):
     """Exact extremal inner products of d against all permutations and cuts.
 
     Subsets of [n] are bit masks read like their words: element j is bit
     n - j, so the word classes are the masks 2^(n-1) .. 2^n - 2 in order.
     cut[S] = D.M(chi^S) is tabulated for every mask, and a permutation
     sigma is the chain of its prefix sets S_t = sigma^-1([t]), with
-    D.M(sigma) = sum_t cut[S_t].  The minimum over all chains but the
-    identity's and its antipode's is then a shortest-chain problem in the
-    subset lattice, solved exactly by keeping the three best chains into
-    every subset: at most two of the three best full chains are excluded.
+    D.M(sigma) = sum_t cut[S_t].  The minimum over all chains but pi's and
+    its antipode's is then a shortest-chain problem in the subset lattice,
+    solved exactly by keeping the three best chains into every subset: at
+    most two of the three best full chains are excluded.  The base of the
+    permutation margins is D.M(pi).
     """
     n = d.n
     ints, denom = d.scaled_int_upper()
@@ -260,9 +236,9 @@ def _margins(d: SymZMat, u: Word):
         c = cut[s]
         best[s] = [(v + c, low, rank) for v, low, rank in cands[:3]]
 
-    identity = tuple(range(1, n + 1))
-    antipode = identity[::-1]
-    base = value(identity)
+    vertex = pi.images
+    antipode = pi.antipode().images
+    base = value(vertex)
     full = size - 1
     for top, (total, _, _) in enumerate(best[full]):
         images = [0] * n
@@ -272,7 +248,7 @@ def _margins(d: SymZMat, u: Word):
             images[n - low.bit_length()] = t
             s ^= low
         sigma = tuple(images)
-        if sigma != identity and sigma != antipode:
+        if sigma != vertex and sigma != antipode:
             break
     perm_min = total - base
     perm_arg = Perm(sigma).canonical()
@@ -292,44 +268,44 @@ def _margins(d: SymZMat, u: Word):
     )
 
 
-def verify_certificate_plain(d: SymZMat, pair: HalfLinePair) -> VerifyReport:
-    """Strict system: both inequality families strict, target exactly zero."""
-    _require_verifiable(d, pair)
-    perm_min, perm_arg, cut_min, cut_arg, target = _margins(d, pair.u)
-    offender = None
-    if perm_min <= 0:
-        offender = f"permutation {perm_arg}: margin {format_rat(perm_min)} <= 0"
-    elif target != 0:
-        offender = f"target cut {pair.u.canonical()}: value {format_rat(target)} != 0"
-    elif cut_min <= 0:
-        offender = f"cut {cut_arg}: value {format_rat(cut_min)} <= 0"
-    return VerifyReport(
-        "plain", offender is None, perm_min, cut_min, target, perm_arg, cut_arg, offender
-    )
-
-
-def verify_certificate_farkas(c: SymZMat, pair: HalfLinePair) -> VerifyReport:
-    """Mixed system: weak inequalities, target strictly negative."""
-    _require_verifiable(c, pair)
-    perm_min, perm_arg, cut_min, cut_arg, target = _margins(c, pair.u)
-    offender = None
-    if perm_min < 0:
-        offender = f"permutation {perm_arg}: margin {format_rat(perm_min)} < 0"
-    elif cut_min < 0:
-        offender = f"cut {cut_arg}: value {format_rat(cut_min)} < 0"
-    elif target >= 0:
-        offender = f"target cut {pair.u.canonical()}: value {format_rat(target)} >= 0"
-    return VerifyReport(
-        "farkas", offender is None, perm_min, cut_min, target, perm_arg, cut_arg, offender
-    )
+# each system's checks in order, as (margin, relation to 0 that fails it)
+_SYSTEMS = {
+    "plain": (("perm", "<="), ("target", "!="), ("cut", "<=")),
+    "farkas": (("perm", "<"), ("cut", "<"), ("target", ">=")),
+}
+_FAILS = {"<=": operator.le, "<": operator.lt, "!=": operator.ne, ">=": operator.ge}
 
 
 def verify_certificate(d: SymZMat, pair: HalfLinePair, condition: str) -> VerifyReport:
-    if condition == "plain":
-        return verify_certificate_plain(d, pair)
-    if condition == "farkas":
-        return verify_certificate_farkas(d, pair)
-    raise ValueError(f"unknown condition {condition!r}")
+    """Check d against the plain (strict, target zero) or the farkas (weak,
+    target negative) system of the pair, at the pair's own vertex."""
+    if condition not in _SYSTEMS:
+        raise ValueError(f"unknown condition {condition!r}")
+    if d.n != pair.n:
+        raise ValueError(f"dimension mismatch: matrix {d.n} vs pair {pair.n}")
+    if pair.n < 3:
+        raise ValueError("certificate verification needs n >= 3")
+    bound = exhaustion_bound()
+    if pair.n > bound:
+        raise ValueError(
+            f"too large: n={pair.n} exceeds the exhaustion bound {bound} "
+            "(set LINEMETRIC_MAX_N to raise it)"
+        )
+    perm_min, perm_arg, cut_min, cut_arg, target = _margins(d, pair.pi, pair.u)
+    named = {
+        "perm": (perm_min, f"permutation {perm_arg}: margin"),
+        "cut": (cut_min, f"cut {cut_arg}: value"),
+        "target": (target, f"target cut {pair.u.canonical()}: value"),
+    }
+    offender = None
+    for margin, rel in _SYSTEMS[condition]:
+        value, name = named[margin]
+        if _FAILS[rel](value, 0):
+            offender = f"{name} {format_rat(value)} {rel} 0"
+            break
+    return VerifyReport(
+        condition, offender is None, perm_min, cut_min, target, perm_arg, cut_arg, offender
+    )
 
 
 def symmetry_transport(pair: HalfLinePair) -> tuple[Perm, HalfLinePair]:
@@ -342,12 +318,6 @@ def symmetry_transport(pair: HalfLinePair) -> tuple[Perm, HalfLinePair]:
     sigma = pair.pi
     moved = Word.from_set(pair.n, sigma.image_of_set(pair.u.elements))
     return sigma, HalfLinePair(Perm.identity(pair.n), moved)
-
-
-def verify_for_pair(cert: SymZMat, pair: HalfLinePair, condition: str) -> VerifyReport:
-    """Verify a certificate for an arbitrary pair by transporting both to id."""
-    sigma, idpair = symmetry_transport(pair)
-    return verify_certificate(conjugate(cert, sigma.inverse()), idpair, condition)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ Pairs at an arbitrary vertex are relabeled to the identity vertex first
 (conjugation by a permutation matrix is a linear isomorphism preserving
 the hull), verdicts are cached per relabeled cut class, and witnesses are
 carried back through the same exact isometry so they hold at the pair's
-own vertex; pass transport=False to solve the system directly at the
-given vertex instead.
+own vertex.  _decide_at_vertex solves the system at any vertex directly,
+which is how the tests audit the relabeling.
 
 The oracle refuses n above oracle_bound(), 6 by default; LINEMETRIC_MAX_N
 may raise that bound but never lowers it.
@@ -239,13 +239,11 @@ def _decide_at_vertex(pi: Perm, u: Word) -> tuple:
 _cache: dict = {}
 
 
-def oracle_classify(pair: HalfLinePair, transport: bool = True) -> OracleVerdict:
+def oracle_classify(pair: HalfLinePair) -> OracleVerdict:
     """Decide edge-ness by exact LP feasibility, independent of classify.
 
-    With transport=True (default) the pair is relabeled to the identity
-    vertex and results are cached per cut class; transport=False solves
-    the system at the given vertex, which is useful for auditing the
-    relabeling itself.
+    The pair is relabeled to the identity vertex and results are cached
+    per cut class.
     """
     n = pair.n
     if n < 3:
@@ -255,9 +253,6 @@ def oracle_classify(pair: HalfLinePair, transport: bool = True) -> OracleVerdict
         raise ValueError(
             f"oracle refuses n={n} above bound {limit} (set LINEMETRIC_MAX_N to raise it)"
         )
-    if not transport:
-        is_edge, mat, dp, dc, dt = _decide_at_vertex(pair.pi, pair.u)
-        return OracleVerdict(pair, is_edge, mat, dp, dc, dt)
     sigma, idpair = symmetry_transport(pair)
     key = (n, idpair.u.canonical())
     hit = _cache.get(key)

@@ -45,10 +45,10 @@ from linemetric import (
     separated_membership,
     spreading_check,
     synthesize,
-    verify_certificate_farkas,
-    verify_certificate_plain,
+    verify_certificate,
     word_classes,
 )
+from linemetric.oracle import _decide_at_vertex
 
 
 def id_pair(u_text):
@@ -77,7 +77,7 @@ def test_criterion_1_certificate_library_audit():
     for name, (word, condition, target) in LIBRARY_AUDIT.items():
         cert = base_certificate(name)
         assert str(cert.word) == word and cert.condition == condition
-        rep = verify_certificate_farkas(cert.matrix, id_pair(word))
+        rep = verify_certificate(cert.matrix, id_pair(word), "farkas")
         assert rep.passed, f"{name}: {rep.offender}"
         assert rep.target == target
         assert rep.perm_min == 0 and rep.cut_min == 0
@@ -96,7 +96,7 @@ def test_criterion_1_certificate_library_audit():
     "target is -4 (not 0) and 22 permutations tie the identity",
 )
 def test_criterion_1_plain_claim_10101():
-    rep = verify_certificate_plain(base_certificate("C_10101").matrix, id_pair("10101"))
+    rep = verify_certificate(base_certificate("C_10101").matrix, id_pair("10101"), "plain")
     assert rep.passed
 
 
@@ -106,7 +106,7 @@ def test_criterion_1_plain_claim_10101():
     "target is -4 (not 0) and 36 permutations tie the identity",
 )
 def test_criterion_1_plain_claim_101010():
-    rep = verify_certificate_plain(base_certificate("C_101010").matrix, id_pair("101010"))
+    rep = verify_certificate(base_certificate("C_101010").matrix, id_pair("101010"), "plain")
     assert rep.passed
 
 
@@ -140,7 +140,7 @@ def test_criterion_2_classifier_vs_oracle_n_le_5():
         if not u.is_proper():
             continue
         pair = HalfLinePair(pi, u)
-        assert oracle_classify(pair, transport=False).is_edge == classify(pair).is_edge
+        assert _decide_at_vertex(pair.pi, pair.u)[0] == classify(pair).is_edge
     ok(2, f"classifier/oracle agree on every canonical pair: {counts}")
 
 
@@ -322,7 +322,7 @@ def _in_translated_cone(m, pi):
 def test_criterion_6_hull_is_not_closed_at_n4():
     edge_pair = id_pair("1001")
     assert classify(edge_pair).is_edge
-    assert verify_certificate_farkas(base_certificate("C_1001").matrix, edge_pair).passed
+    assert verify_certificate(base_certificate("C_1001").matrix, edge_pair, "farkas").passed
     base = perm_metric(Perm.identity(4))
     ray = cut_metric(Word.parse("1001"))
     for t in (Fraction(1, 2), Fraction(1), Fraction(2)):

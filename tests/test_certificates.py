@@ -33,9 +33,7 @@ from linemetric import (
     lifted_word,
     plain_alternating_base,
     synthesize,
-    verify_certificate_farkas,
-    verify_certificate_plain,
-    verify_for_pair,
+    verify_certificate,
 )
 from linemetric.certificates import BASE_NAMES, _id_pair
 from test_acceptance import DISPATCH_BRANCH_WORDS
@@ -86,7 +84,7 @@ class TestBaseLibrary:
     def test_every_base_verifies_mixed(self, name, target):
         cert = base_certificate(name)
         assert cert.condition == "farkas"
-        rep = verify_certificate_farkas(cert.matrix, _id_pair(cert.word))
+        rep = verify_certificate(cert.matrix, _id_pair(cert.word), "farkas")
         assert rep.passed
         assert rep.target == target
         assert rep.perm_min == 0 and rep.cut_min == 0
@@ -115,9 +113,9 @@ class TestLift:
         base = base_certificate("C_1001").matrix
         word = Word.parse("1001")
         naive = lift(base, LiftPlan(word, 1, 1, omega=1, epsilon=1))
-        assert not verify_certificate_farkas(naive, _id_pair(Word.parse("11001"))).passed
+        assert not verify_certificate(naive, _id_pair(Word.parse("11001")), "farkas").passed
         tuned = lift(base, LiftPlan(word, 1, 1, omega=4, epsilon=Fraction(1, 4)))
-        rep = verify_certificate_farkas(tuned, _id_pair(Word.parse("11001")))
+        rep = verify_certificate(tuned, _id_pair(Word.parse("11001")), "farkas")
         assert rep.passed and rep.target == -1
 
     def test_zero_run_lift(self):
@@ -148,7 +146,7 @@ class TestLift:
                     )
                     candidate = lift(cert.matrix, plan)
                     target = lifted_word(plan)
-                    if verify_certificate_farkas(candidate, _id_pair(target)).passed:
+                    if verify_certificate(candidate, _id_pair(target), "farkas").passed:
                         lifted = candidate
                         break
                 assert lifted is not None, f"no verified lift of {name} at {position}"
@@ -158,7 +156,7 @@ class TestAlternatingInduction:
     def test_strict_bases(self):
         for n, margins in ((5, (12, 16)), (6, (36, 40))):
             mat = plain_alternating_base(n)
-            rep = verify_certificate_plain(mat, _id_pair(alternating_word(n)))
+            rep = verify_certificate(mat, _id_pair(alternating_word(n)), "plain")
             assert rep.passed
             assert (rep.perm_min, rep.cut_min, rep.target) == (*margins, 0)
 
@@ -166,21 +164,21 @@ class TestAlternatingInduction:
         # the induction needs strict seeds; the length-5 library matrix is not
         # one (target -4, tied permutations), hence the derived bases above
         base = base_certificate("C_10101").matrix
-        rep = verify_certificate_plain(base, _id_pair(Word.parse("10101")))
+        rep = verify_certificate(base, _id_pair(Word.parse("10101")), "plain")
         assert not rep.passed
 
     def test_induction_n7_n8(self):
         d7 = induct_alternating(7)
-        rep7 = verify_certificate_plain(d7, _id_pair(alternating_word(7)))
+        rep7 = verify_certificate(d7, _id_pair(alternating_word(7)), "plain")
         assert rep7.passed and (rep7.perm_min, rep7.cut_min) == (12, 16)
         d8 = induct_alternating(8)
-        rep8 = verify_certificate_plain(d8, _id_pair(alternating_word(8)))
+        rep8 = verify_certificate(d8, _id_pair(alternating_word(8)), "plain")
         assert rep8.passed and (rep8.perm_min, rep8.cut_min) == (36, 40)
 
     def test_induction_chains_past_one_step(self):
         # n=9 stacks the n=7 certificate with a fresh length-5 base
         d9 = induct_alternating(9)
-        rep = verify_certificate_plain(d9, _id_pair(alternating_word(9)))
+        rep = verify_certificate(d9, _id_pair(alternating_word(9)), "plain")
         assert rep.passed and (rep.perm_min, rep.cut_min, rep.target) == (12, 16, 0)
 
     def test_below_start_rejected(self):
@@ -276,7 +274,7 @@ class TestSynthesize:
         plan = LiftPlan(
             Word.parse("1001"), 1, 1, omega=4, epsilon=Fraction(1, 4), swap_block_signs=True
         )
-        rep = verify_certificate_farkas(lift(base, plan), _id_pair(Word.parse("11001")))
+        rep = verify_certificate(lift(base, plan), _id_pair(Word.parse("11001")), "farkas")
         assert not rep.passed
 
     def test_random_vertices_random_words(self):
@@ -294,7 +292,7 @@ class TestSynthesize:
             if classify(pair).is_edge:
                 cert = synthesize(pair)
                 assert cert.report.passed
-                again = verify_for_pair(cert.matrix, pair, cert.condition)
+                again = verify_certificate(cert.matrix, pair, cert.condition)
                 assert again.passed
             else:
                 with pytest.raises(NonEdgeError):

@@ -6,11 +6,13 @@ synthesis, 64 usage error, 70 internal error.
 
 import dataclasses
 import json
+import re
+from fractions import Fraction
 
 import pytest
 
 import linemetric.certificates as certificates
-from linemetric import Perm, Word, cut_metric, perm_metric
+from linemetric import Perm, SymZMat, Word, cut_metric, inner_product, perm_metric
 from linemetric.cli import main
 
 
@@ -142,7 +144,7 @@ class TestCertify:
         assert code == 0
 
     def test_emit_verify_roundtrip_at_other_vertex(self, capsys, tmp_path):
-        # the emitted matrix is conjugated to the vertex; verify-only undoes it
+        # the emitted matrix is conjugated to the vertex, where verify-only checks it
         out_path = tmp_path / "cert.json"
         code, out, _ = run(
             capsys, "certify", "5", "--pi", "3,1,4,2,5", "--u", "01101",
@@ -156,6 +158,27 @@ class TestCertify:
             "--verify-only", str(out_path),
         )
         assert code == 0 and "pass" in out
+
+    def test_negated_certificate_offender_is_named_at_the_vertex(self, capsys, tmp_path):
+        # the offender is a permutation of the pair's own coordinates that
+        # attains the printed minimum against M(pi), never pi's own class
+        pi = Perm.parse("2,4,1,3")
+        argv = ["certify", "4", "--pi", str(pi), "--u", "0110"]
+        path = tmp_path / "cert.json"
+        run(capsys, *argv, "--emit", str(path))
+        obj = json.loads(path.read_text())
+        mat = SymZMat.from_json(obj["matrix"]).scale(-1)
+        obj["matrix"] = mat.to_json()
+        path.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, *argv, "--verify-only", str(path))
+        assert code == 2
+        perm_min = Fraction(re.search(r"perm_min=(\S+)", out).group(1))
+        name, margin = re.search(r"offender: permutation (\S+): margin (\S+) <", out).groups()
+        sigma = Perm.parse(name)
+        assert sigma.canonical() != pi.canonical()
+        assert Fraction(margin) == perm_min < 0
+        base = inner_product(mat, perm_metric(pi))
+        assert inner_product(mat, perm_metric(sigma)) - base == perm_min
 
 
 class TestMaxN:

@@ -3,7 +3,8 @@
 Claims covered:
     - classify matches the ridge characterization on the worked small cases
     - edge counts per vertex are 2^(n-1) - n (n >= 4) and 2 at n = 3
-    - the verifiers enforce strict/mixed systems exactly, with exact margins
+    - the verifiers enforce strict/mixed systems exactly, with exact margins,
+      at every vertex, naming offenders in the pair's own coordinates
     - verdicts are invariant under relabeling, exhaustively for small n
     - every non-edge yields the exact conic identity, on either complement side
     - certificates transport by conjugation across every relabeling of S(4)
@@ -33,9 +34,7 @@ from linemetric import (
     path_certificate,
     perm_metric,
     symmetry_transport,
-    verify_certificate_farkas,
-    verify_certificate_plain,
-    verify_for_pair,
+    verify_certificate,
     word_classes,
 )
 
@@ -106,23 +105,23 @@ class TestEnumerate:
 
 class TestVerifiers:
     def test_farkas_base_certificate(self):
-        rep = verify_certificate_farkas(base_certificate("C_1001").matrix, id_pair("1001"))
+        rep = verify_certificate(base_certificate("C_1001").matrix, id_pair("1001"), "farkas")
         assert rep.passed
         assert (rep.perm_min, rep.cut_min, rep.target) == (0, 0, -4)
 
     def test_farkas_second_base(self):
-        rep = verify_certificate_farkas(base_certificate("C_11011").matrix, id_pair("11011"))
+        rep = verify_certificate(base_certificate("C_11011").matrix, id_pair("11011"), "farkas")
         assert rep.passed and rep.target == -12
 
     def test_zero_matrix_fails_both(self):
         z = SymZMat.zero(4)
-        assert not verify_certificate_plain(z, id_pair("1001")).passed
-        assert not verify_certificate_farkas(z, id_pair("1001")).passed
+        assert not verify_certificate(z, id_pair("1001"), "plain").passed
+        assert not verify_certificate(z, id_pair("1001"), "farkas").passed
 
     def test_perturbed_certificate_fails(self):
         rows = base_certificate("C_1001").matrix.rows()
         rows[0][2] = rows[2][0] = Fraction(2)
-        rep = verify_certificate_farkas(SymZMat.from_rows(rows), id_pair("1001"))
+        rep = verify_certificate(SymZMat.from_rows(rows), id_pair("1001"), "farkas")
         assert not rep.passed
         assert rep.offender is not None
 
@@ -131,8 +130,8 @@ class TestVerifiers:
         # permutation ties, so they are mixed-system certificates only
         for name, word in (("C_10101", "10101"), ("C_101010", "101010")):
             mat = base_certificate(name).matrix
-            plain = verify_certificate_plain(mat, id_pair(word))
-            farkas = verify_certificate_farkas(mat, id_pair(word))
+            plain = verify_certificate(mat, id_pair(word), "plain")
+            farkas = verify_certificate(mat, id_pair(word), "farkas")
             assert farkas.passed and farkas.target == -4
             assert not plain.passed
             assert plain.perm_min == 0 and plain.target == -4
@@ -141,30 +140,50 @@ class TestVerifiers:
         # the bare path matrix ties every incident cut class at zero, so it
         # certifies no single one of them under the strict system
         c = path_certificate(4)
-        rep = verify_certificate_plain(c, id_pair("1000"))
+        rep = verify_certificate(c, id_pair("1000"), "plain")
         assert not rep.passed and "cut" in rep.offender
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            verify_certificate_farkas(SymZMat.zero(5), id_pair("1001"))
+            verify_certificate(SymZMat.zero(5), id_pair("1001"), "farkas")
 
-    def test_non_identity_vertex_rejected(self):
-        pair = pair_of("2,1,3,4", "1001")
-        with pytest.raises(ValueError, match="transport"):
-            verify_certificate_farkas(SymZMat.zero(4), pair)
+    def test_every_vertex_accepted(self):
+        # the zero matrix ties every permutation, so the reported minimiser
+        # shows that the vertex's own pair is the one excluded
+        for images in itertools.permutations(range(1, 5)):
+            pi = Perm(images)
+            pair = HalfLinePair(pi, Word.parse("1001"))
+            rep = verify_certificate(SymZMat.zero(4), pair, "farkas")
+            assert (rep.perm_min, rep.cut_min, rep.target) == (0, 0, 0)
+            assert rep.perm_argmin != pi.canonical()
+            assert rep.offender == "target cut 1001: value 0 >= 0"
+
+    def test_cut_offender_named_at_the_pairs_vertex(self):
+        # the path matrix vanishes on every prefix cut; moved to the vertex
+        # sigma it vanishes on the preimages of the prefixes, and the first of
+        # those off the target class is the offender, in the pair's own words
+        sigma = Perm.parse("3,1,4,5,2")
+        pair = HalfLinePair(sigma, Word.from_set(5, sigma.preimage_of_set({1})))
+        d = conjugate(path_certificate(5), sigma)
+        rep = verify_certificate(d, pair, "plain")
+        assert not rep.passed
+        assert rep.cut_argmin == Word.parse("10110")  # sigma^-1({1,2}) = {2,5}
+        assert rep.offender == "cut 10110: value 0 <= 0"
+        assert inner_product(d, cut_metric(rep.cut_argmin)) == rep.cut_min == 0
+        assert rep.perm_min > 0
 
     def test_exhaustion_bound(self, monkeypatch):
         monkeypatch.delenv("LINEMETRIC_MAX_N", raising=False)
         with pytest.raises(ValueError, match="too large"):
-            verify_certificate_farkas(SymZMat.zero(13), id_pair("1" + "0" * 12))
+            verify_certificate(SymZMat.zero(13), id_pair("1" + "0" * 12), "farkas")
         # a value below the verifier's default, meant for the oracle, leaves it alone
         monkeypatch.setenv("LINEMETRIC_MAX_N", "7")
-        rep = verify_certificate_farkas(SymZMat.zero(9), id_pair("110011001"))
+        rep = verify_certificate(SymZMat.zero(9), id_pair("110011001"), "farkas")
         assert not rep.passed and "target" in rep.offender
 
     def test_antipodal_vertex_accepted(self):
         pair = HalfLinePair(Perm.identity(4).antipode(), Word.parse("1001"))
-        rep = verify_certificate_farkas(base_certificate("C_1001").matrix, pair)
+        rep = verify_certificate(base_certificate("C_1001").matrix, pair, "farkas")
         assert rep.passed
 
 
@@ -195,7 +214,7 @@ class TestTransport:
             sigma = Perm(images)
             pair = HalfLinePair(sigma, Word.from_set(4, sigma.preimage_of_set(base_u.elements)))
             moved_cert = conjugate(cert, sigma)
-            rep = verify_for_pair(moved_cert, pair, "farkas")
+            rep = verify_certificate(moved_cert, pair, "farkas")
             assert rep.passed and rep.target == -4
 
 

@@ -26,9 +26,10 @@ from linemetric import (
     oracle_classify,
     perm_classes,
     perm_metric,
-    verify_certificate_plain,
+    verify_certificate,
     word_classes,
 )
+from linemetric.oracle import _decide_at_vertex
 
 
 def id_pair(u_text):
@@ -47,7 +48,7 @@ class TestVerdicts:
             v = oracle_classify(pair)
             if not v.is_edge:
                 continue
-            rep = verify_certificate_plain(v.witness_matrix, pair)
+            rep = verify_certificate(v.witness_matrix, pair, "plain")
             assert rep.passed
             assert rep.perm_min >= 1 and rep.cut_min >= 1 and rep.target == 0
 
@@ -65,8 +66,6 @@ class TestVerdicts:
         # witnesses are carried back by conjugation, so a verdict for a pair
         # at any vertex is checkable against that pair directly
         rnd = random.Random(52)
-        from linemetric import verify_for_pair
-
         for _ in range(10):
             n = rnd.choice([4, 5])
             pi = Perm(rnd.sample(range(1, n + 1), n))
@@ -77,7 +76,7 @@ class TestVerdicts:
             pair = HalfLinePair(pi, u)
             v = oracle_classify(pair)
             if v.is_edge:
-                assert verify_for_pair(v.witness_matrix, pair, "plain").passed
+                assert verify_certificate(v.witness_matrix, pair, "plain").passed
             else:
                 self._check_vanishing(pair, v)
 
@@ -117,9 +116,9 @@ class TestAgreement:
             if not u.is_proper():
                 continue
             pair = HalfLinePair(pi, u)
-            direct = oracle_classify(pair, transport=False)
-            assert direct.is_edge == oracle_classify(pair).is_edge
-            assert direct.is_edge == classify(pair).is_edge
+            direct, *_ = _decide_at_vertex(pair.pi, pair.u)
+            assert direct == oracle_classify(pair).is_edge
+            assert direct == classify(pair).is_edge
 
 
 class TestLargerInstances:

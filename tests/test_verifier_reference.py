@@ -1,11 +1,14 @@
 """The subset-chain verifier against the brute-force permutation scan.
 
 The verifier's margins come from a shortest-chain computation over the
-subset lattice.  The reference below is the direct definition: it scans
-all n!/2 antipodal classes of permutations and all cut classes.  Every
-margin and cut_argmin must agree exactly; perm_argmin may name another
-permutation on ties, so it is checked to be canonical, off the identity
-pair, and to attain perm_min when evaluated on its own.
+subset lattice, at the pair's own vertex pi.  The first reference below is
+the direct definition: it scans all n!/2 antipodal classes of permutations
+and all cut classes.  Every margin and cut_argmin must agree exactly;
+perm_argmin may name another permutation on ties, so it is checked to be
+canonical, off the pair of pi, and to attain perm_min when evaluated on
+its own.  The second reference is the relabeling to the identity vertex:
+verifying conjugate(D, pi^-1) for (id, pi(U)) must give the same verdict
+and margins under both conditions.
 
 Claims covered:
     - exact agreement on the library matrices and the strict alternating bases
@@ -13,7 +16,10 @@ Claims covered:
       lift candidates that fail included
     - exact agreement on the negations of all of the above
     - exact agreement on seeded random rational matrices, n = 3..8, tie-heavy
-      ones included, and on random small matrices by property testing
+      ones included, at the identity and at seeded random vertices, and on
+      random small matrices and vertices by property testing
+    - agreement with the relabeled identity-vertex verification on the
+      random vertices
 """
 
 import itertools
@@ -31,10 +37,14 @@ from linemetric import (
     SymZMat,
     Word,
     base_certificate,
+    conjugate,
+    cut_metric,
     inner_product,
     perm_metric,
     plain_alternating_base,
+    symmetry_transport,
     synthesize,
+    verify_certificate,
     word_classes,
 )
 from linemetric.core import pair_indices
@@ -42,11 +52,13 @@ from linemetric.edge_theory import _margins
 from test_acceptance import DISPATCH_BRANCH_WORDS
 
 
-def margins_reference(d, u):
+def margins_reference(d, pi, u):
     """(perm_min, perm_argmin, cut_min, cut_argmin, target) by direct scan.
 
-    perm_argmin is the lexicographically first minimiser among canonical
-    permutations, cut_argmin the first minimiser in word_classes order.
+    Permutation margins are taken against D.M(pi) over the classes other
+    than pi's.  perm_argmin is the lexicographically first minimiser among
+    canonical permutations, cut_argmin the first minimiser in word_classes
+    order.
     """
     n = d.n
     ints, denom = d.scaled_int_upper()
@@ -55,12 +67,12 @@ def margins_reference(d, u):
     def value(point):
         return 2 * sum(c * abs(point[k0] - point[l0]) for k0, l0, c in nz)
 
-    identity = tuple(range(1, n + 1))
-    base = value(identity)
+    vertex = pi.canonical().images
+    base = value(vertex)
     perm_min = perm_arg = None
-    for sigma in itertools.permutations(identity):
+    for sigma in itertools.permutations(range(1, n + 1)):
         anti = tuple(n + 1 - v for v in sigma)
-        if sigma > anti or sigma == identity:
+        if sigma > anti or sigma == vertex:
             continue
         diff = value(sigma) - base
         if perm_min is None or diff < perm_min:
@@ -83,19 +95,35 @@ def margins_reference(d, u):
     )
 
 
-def assert_agrees(d, u):
-    perm_min, perm_arg, cut_min, cut_arg, target = _margins(d, u)
-    ref_min, _, ref_cut_min, ref_cut_arg, ref_target = margins_reference(d, u)
+def assert_agrees(d, pi, u):
+    perm_min, perm_arg, cut_min, cut_arg, target = _margins(d, pi, u)
+    ref_min, _, ref_cut_min, ref_cut_arg, ref_target = margins_reference(d, pi, u)
     assert (perm_min, cut_min, cut_arg, target) == (ref_min, ref_cut_min, ref_cut_arg, ref_target)
     assert perm_arg == perm_arg.canonical()
-    assert not perm_arg.is_identity()
-    idn = Perm.identity(d.n)
-    assert inner_product(d, perm_metric(perm_arg)) - inner_product(d, perm_metric(idn)) == perm_min
+    assert perm_arg != pi.canonical()
+    assert inner_product(d, perm_metric(perm_arg)) - inner_product(d, perm_metric(pi)) == perm_min
+    assert inner_product(d, cut_metric(cut_arg)) == cut_min
 
 
-def assert_agrees_with_negation(d, u):
-    assert_agrees(d, u)
-    assert_agrees(d.scale(-1), u)
+def assert_agrees_with_negation(d, pi, u):
+    assert_agrees(d, pi, u)
+    assert_agrees(d.scale(-1), pi, u)
+
+
+def assert_agrees_with_relabeling(d, pi, u):
+    """The pair's own report against the identity-vertex one it relabels to."""
+    pair = HalfLinePair(pi, u)
+    _, idpair = symmetry_transport(pair)
+    moved = conjugate(d, pi.inverse())
+    for condition in ("plain", "farkas"):
+        rep = verify_certificate(d, pair, condition)
+        ref = verify_certificate(moved, idpair, condition)
+        assert (rep.passed, rep.perm_min, rep.cut_min, rep.target) == (
+            ref.passed,
+            ref.perm_min,
+            ref.cut_min,
+            ref.target,
+        )
 
 
 def random_matrix(rnd, n, values, denominators):
@@ -113,7 +141,7 @@ def test_library_and_strict_alternating_bases():
     cases += [(plain_alternating_base(5), Word.parse("10101"))]
     cases += [(plain_alternating_base(6), Word.parse("101010"))]
     for d, u in cases:
-        assert_agrees_with_negation(d, u)
+        assert_agrees_with_negation(d, Perm.identity(d.n), u)
 
 
 def test_every_matrix_verified_for_the_dispatch_words(monkeypatch):
@@ -122,7 +150,7 @@ def test_every_matrix_verified_for_the_dispatch_words(monkeypatch):
 
     def recording(d, pair, condition):
         report = verify(d, pair, condition)
-        seen[(d, pair.u)] = report.passed
+        seen[(d, pair.pi, pair.u)] = report.passed
         return report
 
     monkeypatch.setattr(certificates, "verify_certificate", recording)
@@ -131,12 +159,13 @@ def test_every_matrix_verified_for_the_dispatch_words(monkeypatch):
         synthesize(HalfLinePair(Perm.identity(u.n), u))
     # the lift searches reject some candidates before accepting one
     assert set(seen.values()) == {True, False}
-    for d, u in seen:
-        assert_agrees_with_negation(d, u)
+    for d, pi, u in seen:
+        assert_agrees_with_negation(d, pi, u)
 
 
-def test_random_rational_matrices():
-    rnd = random.Random(2024)
+def random_cases(seed):
+    """Seeded (matrix, word) cases, n = 3..8; every other one tie-heavy."""
+    rnd = random.Random(seed)
     trials = {3: 40, 4: 40, 5: 40, 6: 20, 7: 4, 8: 2}
     for n, count in trials.items():
         words = list(word_classes(n))
@@ -146,16 +175,43 @@ def test_random_rational_matrices():
                 d = random_matrix(rnd, n, (-1, 0, 1), (1,))
             else:
                 d = random_matrix(rnd, n, range(-6, 7), (1, 2, 3, 5))
-            assert_agrees_with_negation(d, rnd.choice(words))
+            yield rnd, d, rnd.choice(words)
+
+
+def test_random_rational_matrices():
+    for _, d, u in random_cases(2024):
+        assert_agrees_with_negation(d, Perm.identity(d.n), u)
+
+
+def test_random_rational_matrices_at_random_vertices():
+    for rnd, d, u in random_cases(2025):
+        pi = Perm(rnd.sample(range(1, d.n + 1), d.n))
+        assert_agrees_with_negation(d, pi, u)
+        assert_agrees_with_relabeling(d, pi, u)
+
+
+def small_matrix(data, n):
+    values = data.draw(
+        st.lists(st.integers(-3, 3), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+    )
+    return SymZMat(n, dict(zip(pair_indices(n), values)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_property_small_n(data):
     n = data.draw(st.integers(3, 6))
-    values = data.draw(
-        st.lists(st.integers(-3, 3), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
-    )
-    d = SymZMat(n, dict(zip(pair_indices(n), values)))
+    d = small_matrix(data, n)
     u = data.draw(st.sampled_from(list(word_classes(n))))
-    assert_agrees(d, u)
+    assert_agrees(d, Perm.identity(n), u)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_property_small_n_any_vertex(data):
+    n = data.draw(st.integers(3, 6))
+    d = small_matrix(data, n)
+    pi = Perm(data.draw(st.permutations(range(1, n + 1))))
+    u = data.draw(st.sampled_from(list(word_classes(n))))
+    assert_agrees(d, pi, u)
+    assert_agrees_with_relabeling(d, pi, u)
