@@ -4,9 +4,11 @@ Six hand-computed base matrices certify the irreducible edge words; every
 other edge pair reduces to one of them.  The reductions are inverted here:
 a certificate for a short word is lifted to any word obtained by expanding
 one of its runs, an inductive block construction covers the alternating
-words, and the path-matrix construction covers the incident case.  The
-synthesis pipeline glues these together and never returns a matrix that
-has not passed the exhaustive verifier.
+words, and the path-matrix construction covers the incident case.  Every
+construction is pure: it builds a matrix and never verifies it.  The
+synthesis pipeline glues them together and is the one place that
+verifies, so it never returns a matrix that has not passed the exhaustive
+verifier.
 
 All six library matrices satisfy the mixed (farkas) inequality system
 and none satisfies the strict (plain) one: the two alternating-word
@@ -19,7 +21,7 @@ the all-ones matrix, and those seed the inductive construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
@@ -41,6 +43,9 @@ from .edge_theory import (
     verify_certificate,
 )
 from .permutahedron import incident, incident_sets
+
+# omega = 2^t, epsilon = 2^-t for t = 0 .. MAX_DOUBLINGS in the lift search
+MAX_DOUBLINGS = 24
 
 
 @dataclass(frozen=True)
@@ -270,14 +275,10 @@ def induct_alternating(n: int) -> SymZMat:
 
     Grows two coordinates at a time: the certificate for n-2 sits in the
     leading block, a copy of the length-5 or length-6 base in the trailing
-    block, and their sum certifies the alternating word of [n], which the
-    exhaustive verifier confirms before the matrix is returned.
+    block, and their sum certifies the alternating word of [n] under the
+    plain system.  The matrix is returned unverified; synthesize checks it,
+    through the lifts built on it or by its final check.
     """
-    return _induct_alternating(n)[0]
-
-
-def _induct_alternating(n: int) -> tuple[SymZMat, VerifyReport]:
-    """induct_alternating's matrix with the passing report that confirmed it."""
     if n < 7:
         raise ValueError("induction starts at n = 7; lengths 5 and 6 are base cases")
     base = plain_alternating_base(5 if n % 2 == 1 else 6)
@@ -286,10 +287,7 @@ def _induct_alternating(n: int) -> tuple[SymZMat, VerifyReport]:
     while size < n:
         size += 2
         cert = _embed_block(cert, size, 0) + _embed_block(base, size, size - base.n)
-    report = verify_certificate(cert, _id_pair(alternating_word(n)), "plain")
-    if not report.passed:
-        raise AssertionError(f"alternating induction failed at n={n}: {report.offender}")
-    return cert, report
+    return cert
 
 
 def alternating_word(n: int) -> Word:
@@ -314,7 +312,13 @@ class NonEdgeError(ValueError):
 
 @dataclass(frozen=True)
 class EdgeCertificate:
-    """A verified certificate together with how it was built."""
+    """A verified certificate together with how it was built.
+
+    report holds the exact margins of matrix at pair, and its perm_argmin
+    and cut_argmin are named in the pair's own coordinates: each attains its
+    margin against M(pair.pi).  When several permutations or cuts tie, they
+    may name a different minimiser than a fresh verify_certificate would.
+    """
 
     pair: HalfLinePair
     matrix: SymZMat
@@ -337,12 +341,7 @@ class EdgeCertificate:
 
 
 def _search_lift(
-    cert: SymZMat,
-    word: Word,
-    position: int,
-    k: int,
-    condition: str,
-    max_search: int,
+    cert: SymZMat, word: Word, position: int, k: int, condition: str
 ) -> tuple[SymZMat, Word, str, Fraction, Fraction, VerifyReport]:
     """Find omega/epsilon (and a sign configuration) making the lift verify.
 
@@ -350,9 +349,7 @@ def _search_lift(
     is checked exhaustively, so the returned certificate is proven, not
     guessed; the passing report is returned with it.
     """
-    target = None
-    last = None
-    for t in range(max_search + 1):
+    for t in range(MAX_DOUBLINGS + 1):
         omega = Fraction(2) ** t
         eps = Fraction(1, 2**t)
         for swapped in (False, True):
@@ -360,15 +357,14 @@ def _search_lift(
             candidate = lift(cert, plan)
             target = lifted_word(plan)
             report = verify_certificate(candidate, _id_pair(target), condition)
-            last = report
             if report.passed:
                 step = f"lift:pos={position},k={k},omega={format_rat(omega)},epsilon={format_rat(eps)}"
                 if swapped:
                     step += ",signs=swapped"
                 return candidate, target, step, omega, eps, report
     raise RuntimeError(
-        f"lift search exhausted after {max_search} doublings at word {word}, "
-        f"position {position}, k={k}; last margins {last.margins_json()}"
+        f"lift search exhausted after {MAX_DOUBLINGS} doublings at word {word}, "
+        f"position {position}, k={k}; last margins {report.margins_json()}"
     )
 
 
@@ -376,14 +372,14 @@ def _runs_of(word: Word) -> list[int]:
     return [end - start + 1 for _, start, end in word.runs()]
 
 
-def _dispatch_base(word: Word) -> tuple[str, SymZMat, Word, str, VerifyReport | None]:
+def _dispatch_base(word: Word) -> tuple[str, SymZMat, Word, str]:
     """Pick the reduction target for an id-pair edge word starting with 1.
 
-    Returns (tag, matrix, base word, condition, report); report is the
-    alternating induction's passing report, None for a library base.  Two
-    slopes go to 1001 or 11011, three slopes to 10110 or 10010 by the
+    Returns (tag, matrix, base word, condition), none of it verified yet.
+    Two slopes go to 1001 or 11011, three slopes to 10110 or 10010 by the
     hill/valley length pattern, and four or more slopes contract to the
-    alternating word.
+    alternating word: a library matrix up to length 6, the block induction
+    beyond.
     """
     s = word.slopes()
     runs = _runs_of(word)
@@ -393,9 +389,7 @@ def _dispatch_base(word: Word) -> tuple[str, SymZMat, Word, str, VerifyReport | 
             raise AssertionError(f"{word} is over a ridge; classify should have caught it")
         # both hills of length >= 2 go to 11011, anything else to 1001
         name = "C_11011" if (a >= 2 and c >= 2) else "C_1001"
-        cert = base_certificate(name)
-        return f"base:{name}", cert.matrix, cert.word, cert.condition, None
-    if s == 3:
+    elif s == 3:
         a, b, c, d = runs
         if b == 1 and c == 1:
             raise AssertionError(f"{word} is over a ridge; classify should have caught it")
@@ -407,28 +401,25 @@ def _dispatch_base(word: Word) -> tuple[str, SymZMat, Word, str, VerifyReport | 
             name = "C_10110"
         else:
             name = "C_10010"
-        cert = base_certificate(name)
-        return f"base:{name}", cert.matrix, cert.word, cert.condition, None
-    # s >= 4: contract every run to length one
-    m = s + 1
-    if m == 5:
-        cert = base_certificate("C_10101")
-        return "base:C_10101", cert.matrix, cert.word, cert.condition, None
-    if m == 6:
-        cert = base_certificate("C_101010")
-        return "base:C_101010", cert.matrix, cert.word, cert.condition, None
-    cert, report = _induct_alternating(m)
-    return f"base:alternating-induction,n={m}", cert, alternating_word(m), "plain", report
+    else:
+        # contract every run to length one
+        m = s + 1
+        if m >= 7:
+            tag = f"base:alternating-induction,n={m}"
+            return tag, induct_alternating(m), alternating_word(m), "plain"
+        name = f"C_{alternating_word(m)}"
+    cert = base_certificate(name)
+    return f"base:{name}", cert.matrix, cert.word, cert.condition
 
 
-def synthesize(pair: HalfLinePair, max_search: int = 24) -> EdgeCertificate:
+def synthesize(pair: HalfLinePair) -> EdgeCertificate:
     """Produce a verified certificate for any edge pair.
 
     Pipeline: transport to the identity vertex, complement-normalize the
     word, dispatch on the slope count to a base certificate, lift run by
     run with a verified omega/epsilon search, then conjugate back to the
-    original vertex.  Raises NonEdgeError (with the conic witness) for
-    non-edge pairs.
+    original vertex.  A matrix no lift has verified gets one final check.
+    Raises NonEdgeError (with the conic witness) for non-edge pairs.
     """
     verdict = classify(pair)
     if not verdict.is_edge:
@@ -447,9 +438,8 @@ def synthesize(pair: HalfLinePair, max_search: int = 24) -> EdgeCertificate:
         condition = "plain"
         construction.append(f"face:prefix={k}")
     else:
-        tag, cert, base_word, condition, report = _dispatch_base(word)
+        tag, cert, current, condition = _dispatch_base(word)
         construction.append(tag)
-        current = base_word
         target_runs = _runs_of(word)
         base_runs = _runs_of(current)
         if len(target_runs) != len(base_runs):
@@ -461,25 +451,31 @@ def synthesize(pair: HalfLinePair, max_search: int = 24) -> EdgeCertificate:
                 continue
             position = 1 + sum(_runs_of(current)[:idx])
             cert, current, step, omega, epsilon, report = _search_lift(
-                cert, current, position, want - have, condition, max_search
+                cert, current, position, want - have, condition
             )
             construction.append(step)
         if current != word:
             raise AssertionError(f"lift chain ended at {current}, wanted {word}")
 
-    if report is None:  # neither a lift nor the induction has verified cert yet
+    if report is None:  # no lift has verified cert
         report = verify_certificate(cert, _id_pair(word), condition)
         if not report.passed:
             raise AssertionError(f"synthesized certificate failed verification: {report.offender}")
     if not sigma.is_identity():
         # lifts are defined at the identity, so the report above is for
-        # id_cert at (id, sigma(U)); it holds for cert at pair because
-        # conjugation by sigma is an exact isometry, checked by the round trip
+        # id_cert at (id, sigma(U)); conjugation by sigma is an exact isometry,
+        # checked by the round trip, carrying tau to tau o sigma and S to sigma^-1(S)
         id_cert = cert
         cert = conjugate(cert, sigma)
         construction.append(f"conjugate:sigma={sigma}")
         if conjugate(cert, sigma.inverse()) != id_cert:
             raise AssertionError(f"transported certificate does not conjugate back under {sigma}")
+        moved_cut = sigma.preimage_of_set(report.cut_argmin.elements)
+        report = replace(
+            report,
+            perm_argmin=report.perm_argmin.compose(sigma).canonical(),
+            cut_argmin=Word.from_set(word.n, moved_cut).canonical(),
+        )
     return EdgeCertificate(
         pair=pair,
         matrix=cert,

@@ -103,7 +103,7 @@ def _load_matrix(path: str) -> tuple[SymZMat, str | None]:
         if "matrix" in obj:
             return SymZMat.from_json(obj["matrix"]), obj.get("condition")
         return SymZMat.from_json(obj), None
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, ArithmeticError, RecursionError) as exc:
         raise _Usage(f"cannot read matrix file {path}: {exc}")
 
 
@@ -155,8 +155,11 @@ def cmd_certify(args) -> int:
         _emit(args, {"error": str(exc)}, started, [f"synthesis failed: {exc}"])
         return EXIT_VERIFY_FAIL
     if args.emit:
-        with open(args.emit, "w") as fh:
-            json.dump(cert.to_json(), fh, indent=2)
+        try:
+            with open(args.emit, "w") as fh:
+                json.dump(cert.to_json(), fh, indent=2)
+        except OSError as exc:
+            raise _Usage(f"cannot write certificate file {args.emit}: {exc}")
     r = cert.report
     results = {**verdict.to_json(), "margins": r.margins_json(), "certificate": cert.to_json()}
     lines = [
@@ -173,13 +176,12 @@ def cmd_certify(args) -> int:
 
 def cmd_check_metric(args) -> int:
     started = time.perf_counter()
-    try:
-        with open(args.matrix) as fh:
-            mat = SymZMat.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise _Usage(f"cannot read matrix file {args.matrix}: {exc}")
+    mat, _ = _load_matrix(args.matrix)
     if args.scale != "1":
-        eps = Fraction(args.scale)
+        try:
+            eps = Fraction(args.scale)
+        except ZeroDivisionError:
+            raise _Usage("--scale must be a positive rational")
         if eps <= 0:
             raise _Usage("--scale must be a positive rational")
         mat = mat.scale(Fraction(1) / eps)

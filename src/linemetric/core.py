@@ -10,7 +10,6 @@ with 1 <= k < l <= n.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -363,9 +362,6 @@ class SymZMat:
                 raise ValueError(f"duplicate matrix entry ({key[0]},{key[1]})")
             entries[key] = parse_rat(str(text))
         return cls(int(obj["n"]), entries)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
 
 
 def inner_product(a: SymZMat, b: SymZMat) -> Fraction:

@@ -279,7 +279,7 @@ _FAILS = {"<=": operator.le, "<": operator.lt, "!=": operator.ne, ">=": operator
 def verify_certificate(d: SymZMat, pair: HalfLinePair, condition: str) -> VerifyReport:
     """Check d against the plain (strict, target zero) or the farkas (weak,
     target negative) system of the pair, at the pair's own vertex."""
-    if condition not in _SYSTEMS:
+    if not isinstance(condition, str) or condition not in _SYSTEMS:
         raise ValueError(f"unknown condition {condition!r}")
     if d.n != pair.n:
         raise ValueError(f"dimension mismatch: matrix {d.n} vs pair {pair.n}")

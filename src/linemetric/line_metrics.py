@@ -167,9 +167,6 @@ class SpreadingReport:
     strong: tuple[SpreadingViolation, ...]
     weak: tuple[SpreadingViolation, ...]
 
-    def ok(self) -> bool:
-        return not self.strong and not self.weak
-
 
 def spreading_check(m: SymZMat) -> SpreadingReport:
     """Check sum_{j in S} m[i,j] >= floor((|S|+1)^2/4) for all i and S.

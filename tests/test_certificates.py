@@ -9,8 +9,10 @@ Claims covered:
     - the block induction produces strict certificates for alternating words
     - synthesis returns a verified certificate for every requested edge pair and
       refuses non-edges with the exact conic identity attached
+    - the synthesized report names minimisers in the pair's own coordinates
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -28,9 +30,13 @@ from linemetric import (
     Word,
     alternating_word,
     base_certificate,
+    classify,
+    cut_metric,
     induct_alternating,
+    inner_product,
     lift,
     lifted_word,
+    perm_metric,
     plain_alternating_base,
     synthesize,
     verify_certificate,
@@ -262,10 +268,17 @@ class TestSynthesize:
         assert obj["omega"] == "4" and obj["epsilon"] == "1/4"
         assert SymZMat.from_json(obj["matrix"]) == cert.matrix
 
-    def test_search_cap_failure_is_diagnosed(self):
-        # 11001 needs omega=4, so a zero-doubling budget must fail loudly
-        with pytest.raises(RuntimeError, match="last margins"):
-            synthesize(_id_pair(Word.parse("11001")), max_search=0)
+    def test_search_cap_failure_is_diagnosed(self, monkeypatch):
+        # a lift that no omega/epsilon makes verify must fail loudly once the
+        # doublings run out, naming the last margins
+        verify = certificates.verify_certificate
+
+        def failing(d, pair, condition):
+            return dataclasses.replace(verify(d, pair, condition), passed=False, offender="planted")
+
+        monkeypatch.setattr(certificates, "verify_certificate", failing)
+        with pytest.raises(RuntimeError, match=r"after 24 doublings .*last margins"):
+            synthesize(_id_pair(Word.parse("11001")))
 
     def test_swapped_block_signs_do_not_verify_here(self):
         # the default border-block sign pattern is the verifying one; the
@@ -287,8 +300,6 @@ class TestSynthesize:
             if not u.is_proper():
                 continue
             pair = HalfLinePair(pi, u)
-            from linemetric import classify
-
             if classify(pair).is_edge:
                 cert = synthesize(pair)
                 assert cert.report.passed
@@ -299,11 +310,12 @@ class TestSynthesize:
                     synthesize(pair)
 
     def test_each_matrix_verified_once(self, monkeypatch):
-        # within one synthesis, a lift search's or the alternating
-        # induction's passing report is the certificate's report, and the
-        # move to another vertex is checked by an exact round trip; separate
-        # syntheses may share lift candidates.  The two alternating words
-        # contract to themselves, so no lift runs for them.
+        # within one synthesis, a lift search's passing report is the
+        # certificate's report, and the move to another vertex is checked by
+        # an exact round trip; separate syntheses may share lift candidates.
+        # The two alternating words contract to themselves, so no lift runs
+        # for them; 10101001 lifts the n=7 induction matrix, which is checked
+        # only through its lifts.
         calls = []
         verify = edge_theory.verify_certificate
 
@@ -313,7 +325,7 @@ class TestSynthesize:
 
         monkeypatch.setattr(edge_theory, "verify_certificate", recording)
         monkeypatch.setattr(certificates, "verify_certificate", recording)
-        for text in [*DISPATCH_BRANCH_WORDS, "1010101", "10101010"]:
+        for text in [*DISPATCH_BRANCH_WORDS, "1010101", "10101010", "10101001"]:
             n = len(text)
             pi = Perm([*range(2, n + 1), 1])
             u = Word.from_set(n, pi.preimage_of_set(Word.parse(text).elements))
@@ -321,3 +333,40 @@ class TestSynthesize:
             cert = synthesize(HalfLinePair(pi, u))
             assert cert.construction[-1] == f"conjugate:sigma={pi}"
             assert len(calls) == len(set(calls)), text
+            if text == "10101001":
+                assert cert.construction[0] == "base:alternating-induction,n=7"
+                assert all(d.n == 8 for d, _, _ in calls)
+
+    def assert_report_at_the_pair(self, cert):
+        # the report's argmins are the pair's own permutation and cut classes
+        # and attain its margins against M(pi); the margins are a fresh check's
+        pair, d, rep = cert.pair, cert.matrix, cert.report
+        base = inner_product(d, perm_metric(pair.pi))
+        assert rep.perm_argmin.canonical() != pair.pi.canonical()
+        assert inner_product(d, perm_metric(rep.perm_argmin)) - base == rep.perm_min
+        assert rep.cut_argmin.canonical() != pair.u.canonical()
+        assert inner_product(d, cut_metric(rep.cut_argmin)) == rep.cut_min
+        fresh = verify_certificate(d, pair, cert.condition)
+        assert fresh.passed and rep.passed
+        assert (rep.perm_min, rep.cut_min, rep.target) == (
+            fresh.perm_min,
+            fresh.cut_min,
+            fresh.target,
+        )
+
+    def test_report_named_at_the_pairs_vertex(self):
+        cert = synthesize(HalfLinePair(Perm.parse("3,1,4,2,5"), Word.parse("01101")))
+        assert cert.construction[-1] == "conjugate:sigma=3,1,4,2,5"
+        self.assert_report_at_the_pair(cert)
+
+    def test_report_at_random_vertices(self):
+        rnd = random.Random(8)
+        checked = 0
+        while checked < 40:
+            n = 4 + checked % 5
+            pi = Perm(rnd.sample(range(1, n + 1), n))
+            u = Word.from_set(n, rnd.sample(range(1, n + 1), rnd.randint(1, n - 1)))
+            pair = HalfLinePair(pi, u)
+            if classify(pair).is_edge:
+                self.assert_report_at_the_pair(synthesize(pair))
+                checked += 1

@@ -129,7 +129,7 @@ class TestCertify:
             capsys, "certify", "4", "--u", "1001", "--verify-only", str(path)
         )
         assert code == 64 and out == ""
-        assert err == "usage error: duplicate matrix entry (1,3)\n"
+        assert err == f"usage error: cannot read matrix file {path}: duplicate matrix entry (1,3)\n"
 
     def test_certify_and_reverify_at_n12(self, capsys, tmp_path):
         out_path = tmp_path / "cert.json"
@@ -269,6 +269,54 @@ class TestCheckMetric:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "check-metric", "--matrix", str(tmp_path / "nope.json"))
         assert code == 64
+
+    def test_zero_denominator_scale(self, capsys, tmp_path):
+        path = write_matrix(tmp_path / "m.json", perm_metric(Perm.identity(3)))
+        code, out, err = run(capsys, "check-metric", "--matrix", path, "--scale", "1/0")
+        assert code == 64 and out == ""
+        assert err == "usage error: --scale must be a positive rational\n"
+
+
+class TestUnreadableInput:
+    # a matrix file that does not parse to a matrix, or a certificate path
+    # that cannot be written, is one usage-error line, never a traceback
+
+    @pytest.mark.parametrize("command", ["check-metric", "verify-only"])
+    @pytest.mark.parametrize(
+        "text,reason",
+        [
+            ('{"n": 2, "entries": [[1, 2, "1/0"]]}', "Fraction(1, 0)"),
+            ('{"n": 1e400}', "cannot convert float infinity to integer"),
+            ("[" * 100000 + "]" * 100000, "maximum recursion depth exceeded"),
+        ],
+        ids=["zero-denominator", "overflow", "nesting"],
+    )
+    def test_bad_matrix_file(self, capsys, tmp_path, command, text, reason):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        if command == "check-metric":
+            argv = ["check-metric", "--matrix", str(path)]
+        else:
+            argv = ["certify", "4", "--u", "1001", "--verify-only", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"usage error: cannot read matrix file {path}: {reason}")
+
+    def test_non_string_condition(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        obj = {"matrix": perm_metric(Perm.identity(4)).to_json(), "condition": [1]}
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "certify", "4", "--u", "1001", "--verify-only", str(path))
+        assert code == 64 and out == ""
+        assert err == "usage error: unknown condition [1]\n"
+
+    def test_unwritable_emit_path(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "c.json"
+        code, out, err = run(capsys, "certify", "4", "--u", "1001", "--emit", str(path))
+        assert code == 64 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"usage error: cannot write certificate file {path}: ")
 
 
 class TestCrosscheck:
