@@ -10,6 +10,7 @@ from .core import (
     SymZMat,
     Word,
     conjugate,
+    exhaustion_bound,
     format_rat,
     inner_product,
     pair_indices,
@@ -48,7 +49,6 @@ from .edge_theory import (
     VerifyReport,
     classify,
     enumerate_edges_at,
-    exhaustion_bound,
     non_edge_witness,
     symmetry_transport,
     verify_certificate,

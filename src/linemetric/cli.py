@@ -18,12 +18,11 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .core import Perm, SymZMat, Word, format_rat
+from .core import Perm, SymZMat, Word, exhaustion_bound, format_rat
 from .edge_theory import (
     HalfLinePair,
     classify,
     enumerate_edges_at,
-    exhaustion_bound,
     non_edge_witness,
     verify_certificate,
 )

@@ -1,4 +1,5 @@
-"""Exact scalars, permutations, binary words, and symmetric zero-diagonal matrices.
+"""Exact scalars, permutations, binary words, and symmetric zero-diagonal matrices,
+and the size bound shared by the exhaustive scans.
 
 Everything in this package is exact: scalars are arbitrary-precision
 rationals (``fractions.Fraction``), and no operation ever touches a float.
@@ -11,10 +12,42 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 RatLike = Union[int, Fraction]
+
+DEFAULT_EXHAUSTION_BOUND = 12
+
+
+def raised_bound(default: int) -> int:
+    """default, or LINEMETRIC_MAX_N where that is larger; it never lowers a bound."""
+    env = os.environ.get("LINEMETRIC_MAX_N")
+    if not env:
+        return default
+    try:
+        value = int(env)
+    except ValueError:
+        value = None
+    if value is None or value < 3:
+        raise ValueError(f"LINEMETRIC_MAX_N must be an integer >= 3, got {env!r}")
+    return max(default, value)
+
+
+def exhaustion_bound() -> int:
+    """Largest n the exhaustive scans accept; LINEMETRIC_MAX_N may raise it."""
+    return raised_bound(DEFAULT_EXHAUSTION_BOUND)
+
+
+def require_exhaustible(n: int) -> None:
+    """Refuse, in one line, an exhaustive scan of size n above exhaustion_bound()."""
+    bound = exhaustion_bound()
+    if n > bound:
+        raise ValueError(
+            f"too large: n={n} exceeds the exhaustion bound {bound} "
+            "(set LINEMETRIC_MAX_N to raise it)"
+        )
 
 
 def parse_rat(text: str) -> Fraction:
@@ -352,16 +385,25 @@ class SymZMat:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SymZMat":
+        """Read to_json's form; n, k and l must be JSON integers (not floats,
+        booleans or strings)."""
         if not isinstance(obj, dict) or "n" not in obj:
             raise ValueError("matrix JSON must be an object with 'n' and 'entries'")
+        n = _json_int(obj["n"], "'n'")
         entries = {}
-        for item in obj.get("entries", []):
+        for pos, item in enumerate(obj.get("entries", []), start=1):
             k, l, text = item
-            key = (int(k), int(l))
+            key = (_json_int(k, f"'k' of entry {pos}"), _json_int(l, f"'l' of entry {pos}"))
             if key in entries:
                 raise ValueError(f"duplicate matrix entry ({key[0]},{key[1]})")
             entries[key] = parse_rat(str(text))
-        return cls(int(obj["n"]), entries)
+        return cls(n, entries)
+
+
+def _json_int(value, field: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"matrix field {field} must be an integer, got {value!r}")
+    return value
 
 
 def inner_product(a: SymZMat, b: SymZMat) -> Fraction:

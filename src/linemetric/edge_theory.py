@@ -26,7 +26,6 @@ is reported.  Two inequality systems are supported:
 from __future__ import annotations
 
 import operator
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -37,31 +36,11 @@ from .core import (
     Word,
     format_rat,
     pair_indices,
+    require_exhaustible,
     word_classes,
 )
 from .line_metrics import cut_metric, perm_metric
 from .permutahedron import incident, over_the_ridge
-
-DEFAULT_EXHAUSTION_BOUND = 12
-
-
-def raised_bound(default: int) -> int:
-    """default, or LINEMETRIC_MAX_N where that is larger; it never lowers a bound."""
-    env = os.environ.get("LINEMETRIC_MAX_N")
-    if not env:
-        return default
-    try:
-        value = int(env)
-    except ValueError:
-        value = None
-    if value is None or value < 3:
-        raise ValueError(f"LINEMETRIC_MAX_N must be an integer >= 3, got {env!r}")
-    return max(default, value)
-
-
-def exhaustion_bound() -> int:
-    """Largest n the exhaustive verifiers accept; LINEMETRIC_MAX_N may raise it."""
-    return raised_bound(DEFAULT_EXHAUSTION_BOUND)
 
 
 @dataclass(frozen=True)
@@ -285,12 +264,7 @@ def verify_certificate(d: SymZMat, pair: HalfLinePair, condition: str) -> Verify
         raise ValueError(f"dimension mismatch: matrix {d.n} vs pair {pair.n}")
     if pair.n < 3:
         raise ValueError("certificate verification needs n >= 3")
-    bound = exhaustion_bound()
-    if pair.n > bound:
-        raise ValueError(
-            f"too large: n={pair.n} exceeds the exhaustion bound {bound} "
-            "(set LINEMETRIC_MAX_N to raise it)"
-        )
+    require_exhaustible(pair.n)
     perm_min, perm_arg, cut_min, cut_arg, target = _margins(d, pair.pi, pair.u)
     named = {
         "perm": (perm_min, f"permutation {perm_arg}: margin"),

@@ -12,11 +12,12 @@ and evaluate the two families of valid inequalities used downstream
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-from .core import Perm, RatLike, SymZMat, Word, inner_product
+from .core import Perm, RatLike, SymZMat, Word, inner_product, require_exhaustible
 
 
 def embed(x: Sequence[RatLike]) -> SymZMat:
@@ -159,13 +160,74 @@ class SpreadingViolation:
     rhs: Fraction
 
 
+class _Violations(Sequence):
+    """Read-only view of packed (i, mask, total, scale) violations.
+
+    len() builds nothing; reading an item builds just that SpreadingViolation:
+    bit t of mask is the t-th index of [n] other than i, lhs = total/scale,
+    and rhs = bounds[|S|].  It compares and hashes like the tuple of its
+    records, and + concatenates to a tuple.
+    """
+
+    __slots__ = ("_packed", "_bounds")
+
+    def __init__(self, packed: list, bounds: list):
+        self._packed = packed
+        self._bounds = bounds
+
+    def _record(self, packed: tuple) -> SpreadingViolation:
+        i, mask, total, scale = packed
+        subset = frozenset(
+            t + 1 + (t + 1 >= i) for t in range(mask.bit_length()) if mask >> t & 1
+        )
+        rhs = self._bounds[mask.bit_count()]
+        return SpreadingViolation(i, subset, Fraction(total, scale), rhs)
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self._record, self._packed[k]))
+        return self._record(self._packed[k])
+
+    def __iter__(self):
+        return map(self._record, self._packed)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, _Violations)):
+            return NotImplemented
+        return len(self) == len(other) and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __add__(self, other) -> tuple:
+        if not isinstance(other, (tuple, _Violations)):
+            return NotImplemented
+        return tuple(self) + tuple(other)
+
+    def __radd__(self, other) -> tuple:
+        if not isinstance(other, tuple):
+            return NotImplemented
+        return other + tuple(self)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class SpreadingReport:
     """Violations of the spreading inequalities; strong uses floor((s+1)^2/4),
-    weak the coarser s(s+2)/4 bound."""
+    weak the coarser s(s+2)/4 bound.
 
-    strong: tuple[SpreadingViolation, ...]
-    weak: tuple[SpreadingViolation, ...]
+    Each field is a read-only sequence that equals the tuple of its
+    SpreadingViolation records; a record is built only when it is read, so
+    len() and the first violation cost nothing per violation.
+    """
+
+    strong: Sequence[SpreadingViolation]
+    weak: Sequence[SpreadingViolation]
 
 
 def spreading_check(m: SymZMat) -> SpreadingReport:
@@ -177,35 +239,37 @@ def spreading_check(m: SymZMat) -> SpreadingReport:
     Each row i is scaled by 4 * lcm(denominators) once, so both bounds are
     integers and the subset sums fill one table of 2^(n-1) ints, one
     addition per subset: n 2^(n-1) additions in all, one row table at a
-    time.  floor((s+1)^2/4) >= s(s+2)/4, so every weak violation is also a
-    strong one and the weak bound is only tested on strong violators.
+    time.  The scan is exponential, so n above exhaustion_bound() is refused
+    with a ValueError.  floor((s+1)^2/4) >= s(s+2)/4, so every weak
+    violation is also a strong one and the weak bound is only tested on
+    strong violators.  A violation is kept as one packed tuple of ints,
+    shared by both lists; the report builds records from them on access.
     Violations come in order of i, then of the subset's bit mask over the
     other indices in ascending order.
     """
     n = m.n
+    require_exhaustible(n)
     strong, weak = [], []
     strong_rhs = [Fraction((s + 1) ** 2 // 4) for s in range(n)]
     weak_rhs = [Fraction(s * (s + 2), 4) for s in range(n)]
     for i in range(1, n + 1):
-        rest = [j for j in range(1, n + 1) if j != i]
-        row = [m.get(i, j) for j in rest]
+        row = [m.get(i, j) for j in range(1, n + 1) if j != i]
         scale = 4 * math.lcm(*(v.denominator for v in row))
         w = [v.numerator * (scale // v.denominator) for v in row]
         strong_bound = [int(b) * scale for b in strong_rhs]
         weak_bound = [s * (s + 2) * (scale // 4) for s in range(n)]
-        sums = [0] * (1 << len(rest))
+        sums = [0] * (1 << len(row))
         for mask in range(1, len(sums)):
             low = mask & -mask
             total = sums[mask ^ low] + w[low.bit_length() - 1]
             sums[mask] = total
             s = mask.bit_count()
             if total < strong_bound[s]:
-                subset = frozenset(j for t, j in enumerate(rest) if mask >> t & 1)
-                lhs = Fraction(total, scale)
-                strong.append(SpreadingViolation(i, subset, lhs, strong_rhs[s]))
+                packed = (i, mask, total, scale)
+                strong.append(packed)
                 if total < weak_bound[s]:
-                    weak.append(SpreadingViolation(i, subset, lhs, weak_rhs[s]))
-    return SpreadingReport(tuple(strong), tuple(weak))
+                    weak.append(packed)
+    return SpreadingReport(_Violations(strong, strong_rhs), _Violations(weak, weak_rhs))
 
 
 def qn_facet_value(m: SymZMat) -> Fraction:

@@ -33,8 +33,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import Perm, SymZMat, Word, conjugate, pair_indices, perm_classes, word_classes
-from .edge_theory import HalfLinePair, raised_bound, symmetry_transport
+from .core import (
+    Perm,
+    SymZMat,
+    Word,
+    conjugate,
+    pair_indices,
+    perm_classes,
+    raised_bound,
+    word_classes,
+)
+from .edge_theory import HalfLinePair, symmetry_transport
 from .line_metrics import cut_metric, perm_metric
 
 DEFAULT_ORACLE_BOUND = 6

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import linemetric.certificates as certificates
+import linemetric.line_metrics as line_metrics
 from linemetric import Perm, SymZMat, Word, cut_metric, inner_product, perm_metric
 from linemetric.cli import main
 
@@ -277,6 +278,37 @@ class TestCheckMetric:
         assert err == "usage error: --scale must be a positive rational\n"
 
 
+    def test_spreading_builds_at_most_one_record(self, capsys, tmp_path, monkeypatch):
+        # only the count and the first violation are printed, so only the first is built
+        built = []
+        record = line_metrics.SpreadingViolation
+
+        def counted(*args):
+            built.append(args)
+            return record(*args)
+
+        monkeypatch.setattr(line_metrics, "SpreadingViolation", counted)
+        path = write_matrix(tmp_path / "m.json", cut_metric(Word.parse("10110100101")))
+        for extra in ([], ["--json"]):
+            built.clear()
+            code, out, _ = run(capsys, "check-metric", "--matrix", path, "--spreading", *extra)
+            assert code == 0 and "violations" in out
+            assert len(built) <= 1
+
+    def test_spreading_size_bound(self, capsys, tmp_path, monkeypatch):
+        path = write_matrix(tmp_path / "m.json", perm_metric(Perm.identity(13)))
+        monkeypatch.delenv("LINEMETRIC_MAX_N", raising=False)
+        code, out, err = run(capsys, "check-metric", "--matrix", path, "--spreading")
+        assert code == 64 and out == ""
+        assert err == (
+            "usage error: too large: n=13 exceeds the exhaustion bound 12 "
+            "(set LINEMETRIC_MAX_N to raise it)\n"
+        )
+        monkeypatch.setenv("LINEMETRIC_MAX_N", "13")
+        code, out, _ = run(capsys, "check-metric", "--matrix", path, "--spreading")
+        assert code == 0 and "spreading: ok" in out.splitlines()
+
+
 class TestUnreadableInput:
     # a matrix file that does not parse to a matrix, or a certificate path
     # that cannot be written, is one usage-error line, never a traceback
@@ -286,7 +318,7 @@ class TestUnreadableInput:
         "text,reason",
         [
             ('{"n": 2, "entries": [[1, 2, "1/0"]]}', "Fraction(1, 0)"),
-            ('{"n": 1e400}', "cannot convert float infinity to integer"),
+            ('{"n": 1e400}', "matrix field 'n' must be an integer, got inf"),
             ("[" * 100000 + "]" * 100000, "maximum recursion depth exceeded"),
         ],
         ids=["zero-denominator", "overflow", "nesting"],
@@ -302,6 +334,24 @@ class TestUnreadableInput:
         assert code == 64 and out == ""
         assert err.count("\n") == 1
         assert err.startswith(f"usage error: cannot read matrix file {path}: {reason}")
+
+    @pytest.mark.parametrize("command", ["check-metric", "verify-only"])
+    def test_non_integer_fields(self, capsys, tmp_path, command):
+        # int() would read this as the 4x4 path matrix
+        path = tmp_path / "m.json"
+        path.write_text(
+            '{"n": 4.9, "entries": [[1.7, 2, "1"], [2, 3.2, "1"], [3, 4, "1"], [true, 4, "-1"]]}'
+        )
+        if command == "check-metric":
+            argv = ["check-metric", "--matrix", str(path)]
+        else:
+            argv = ["certify", "4", "--u", "1000", "--verify-only", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == ""
+        assert err == (
+            f"usage error: cannot read matrix file {path}: "
+            "matrix field 'n' must be an integer, got 4.9\n"
+        )
 
     def test_non_string_condition(self, capsys, tmp_path):
         path = tmp_path / "c.json"

@@ -5,7 +5,7 @@ Claims covered:
     - conjugation realizes relabeling: conjugate(M(x), sigma) = M(x o sigma)
     - antipode is an involution and leaves the embedded metric unchanged
     - word structure (slopes, hills, valleys, alternating) reads off the runs
-    - text and JSON forms round-trip exactly
+    - text and JSON forms round-trip exactly; matrix JSON indices are integers
 """
 
 import itertools
@@ -14,6 +14,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linemetric import (
     Perm,
@@ -171,6 +173,23 @@ class TestSymZMat:
         with pytest.raises(ValueError, match=r"duplicate matrix entry \(1,2\)"):
             SymZMat.from_json(obj)
 
+    @pytest.mark.parametrize(
+        "obj,field",
+        [
+            ({"n": 4.9, "entries": []}, "'n'"),
+            ({"n": True, "entries": []}, "'n'"),
+            ({"n": "4", "entries": []}, "'n'"),
+            ({"n": 4, "entries": [[1.7, 2, "1"]]}, "'k' of entry 1"),
+            ({"n": 4, "entries": [[1, 2, "1"], [True, 4, "-1"]]}, "'k' of entry 2"),
+            ({"n": 4, "entries": [[1, "2", "1"]]}, "'l' of entry 1"),
+            ({"n": 4, "entries": [[1, 2.0, "1"]]}, "'l' of entry 1"),
+        ],
+    )
+    def test_json_indices_must_be_integers(self, obj, field):
+        # int() would read each of these as a different, valid-looking matrix
+        with pytest.raises(ValueError, match=f"^matrix field {field} must be an integer, got "):
+            SymZMat.from_json(obj)
+
     def test_json_omits_zeros(self):
         m = SymZMat(3, {(1, 2): 0, (1, 3): 5})
         assert m.to_json()["entries"] == [[1, 3, "5"]]
@@ -262,3 +281,18 @@ class TestConjugate:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             conjugate(SymZMat.zero(3), Perm.identity(4))
+
+
+@st.composite
+def sym_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    values = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    pairs = draw(st.lists(st.sampled_from(pair_indices(n)), unique=True)) if n > 1 else []
+    return SymZMat(n, {pair: draw(values) for pair in pairs})
+
+
+@settings(max_examples=150, deadline=None)
+@given(sym_matrices())
+def test_property_json_roundtrip(m):
+    assert SymZMat.from_json(m.to_json()) == m
+    assert SymZMat.from_json(json.loads(json.dumps(m.to_json()))) == m

@@ -213,6 +213,14 @@ class TestSpreading:
             assert rep.strong == ()
             assert rep.weak == ()
 
+    def test_size_bound(self, monkeypatch):
+        # the scan fills a 2^(n-1) table per row, so it shares the exhaustion bound
+        monkeypatch.delenv("LINEMETRIC_MAX_N", raising=False)
+        with pytest.raises(ValueError, match="^too large: n=13 exceeds the exhaustion bound 12 "):
+            spreading_check(perm_metric(Perm.identity(13)))
+        monkeypatch.setenv("LINEMETRIC_MAX_N", "13")
+        assert spreading_check(perm_metric(Perm.identity(13))).strong == ()
+
     def test_strong_implies_weak_direction(self):
         # floor((s+1)^2/4) >= s(s+2)/4 always; a weak violation is a strong one
         for s in range(1, 12):

@@ -4,11 +4,14 @@
 subset, sums its Fraction entries and compares against both bounds.  The
 fast path must return an equal SpreadingReport - the same violations, in
 the same order, with the same field types - on every metric tried here.
+Its fields are views that build records on access; they must read like the
+reference's tuples however they are read.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -110,6 +113,37 @@ class TestAgreement:
                 m = seeded_metric(rnd, n, kind)
                 assert_same(m.scale(Fraction(2, 3)))
                 assert_same(m.scale(Fraction(1, 2)))
+
+    def test_views_read_like_reference_tuples(self):
+        rnd = random.Random(2003)
+        slices = [
+            slice(None),
+            slice(1, None),
+            slice(None, 3),
+            slice(-3, None),
+            slice(None, None, 2),
+            slice(5, 1, -1),
+            slice(None, None, -3),
+        ]
+        for n in range(3, 12):
+            for kind in KINDS:
+                m = seeded_metric(rnd, n, kind)
+                fast, slow = spreading_check(m), spreading_reference(m)
+                for view, ref in ((fast.strong, slow.strong), (fast.weak, slow.weak)):
+                    assert len(view) == len(ref) and bool(view) == bool(ref)
+                    assert all(view[k] == ref[k] for k in range(len(ref)))
+                    assert all(view[-k] == ref[-k] for k in range(1, len(ref) + 1))
+                    for cut in slices:
+                        assert view[cut] == ref[cut] and type(view[cut]) is tuple
+                    assert tuple(iter(view)) == ref and list(view) == list(ref)
+                    assert view == ref and ref == view and not view != ref
+                    assert hash(view) == hash(ref)
+                    assert view + () == ref and () + view == ref
+                    for k in (len(ref), -len(ref) - 1):
+                        with pytest.raises(IndexError):
+                            view[k]
+                assert fast.strong + fast.weak == slow.strong + slow.weak
+                assert hash(fast) == hash(slow)
 
     def test_weak_violations_are_strong_ones(self):
         rep = assert_same(embed([0, Fraction(1, 2), 1, Fraction(3, 2), 2, 4]))
