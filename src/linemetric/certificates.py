@@ -8,7 +8,8 @@ words, and the path-matrix construction covers the incident case.  Every
 construction is pure: it builds a matrix and never verifies it.  The
 synthesis pipeline glues them together and is the one place that
 verifies, so it never returns a matrix that has not passed the exhaustive
-verifier.
+verifier.  Its lift search skips a candidate whose cut table already fails
+the system; that screen only rejects, and never stands in for a check.
 
 All six library matrices satisfy the mixed (farkas) inequality system
 and none satisfies the strict (plain) one: the two alternating-word
@@ -37,6 +38,7 @@ from .edge_theory import (
     HalfLinePair,
     NonEdgeWitness,
     VerifyReport,
+    _cut_side_failure,
     classify,
     non_edge_witness,
     symmetry_transport,
@@ -345,9 +347,10 @@ def _search_lift(
 ) -> tuple[SymZMat, Word, str, Fraction, Fraction, VerifyReport]:
     """Find omega/epsilon (and a sign configuration) making the lift verify.
 
-    Doubling/halving search: omega = 2^t, epsilon = 2^-t.  Every candidate
-    is checked exhaustively, so the returned certificate is proven, not
-    guessed; the passing report is returned with it.
+    Doubling/halving search: omega = 2^t, epsilon = 2^-t.  A candidate whose
+    cut table already fails is skipped; every other one is checked
+    exhaustively, so the returned certificate is proven, not guessed; the
+    passing report is returned with it, or the last candidate's in the error.
     """
     for t in range(MAX_DOUBLINGS + 1):
         omega = Fraction(2) ** t
@@ -356,12 +359,15 @@ def _search_lift(
             plan = LiftPlan(word, position, k, omega, eps, swapped)
             candidate = lift(cert, plan)
             target = lifted_word(plan)
+            if _cut_side_failure(candidate, target, condition):
+                continue
             report = verify_certificate(candidate, _id_pair(target), condition)
             if report.passed:
                 step = f"lift:pos={position},k={k},omega={format_rat(omega)},epsilon={format_rat(eps)}"
                 if swapped:
                     step += ",signs=swapped"
                 return candidate, target, step, omega, eps, report
+    report = verify_certificate(candidate, _id_pair(target), condition)
     raise RuntimeError(
         f"lift search exhausted after {MAX_DOUBLINGS} doublings at word {word}, "
         f"position {position}, k={k}; last margins {report.margins_json()}"

@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .core import Perm, SymZMat, Word, exhaustion_bound, format_rat
+from .core import Perm, SymZMat, Word, exhaustion_bound, format_rat, require_exhaustible
 from .edge_theory import (
     HalfLinePair,
     classify,
@@ -176,6 +176,8 @@ def cmd_certify(args) -> int:
 def cmd_check_metric(args) -> int:
     started = time.perf_counter()
     mat, _ = _load_matrix(args.matrix)
+    if args.spreading:
+        require_exhaustible(mat.n)
     if args.scale != "1":
         try:
             eps = Fraction(args.scale)

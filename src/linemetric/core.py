@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 RatLike = Union[int, Fraction]
+_ZERO = Fraction(0)
 
 DEFAULT_EXHAUSTION_BOUND = 12
 
@@ -344,9 +345,9 @@ class SymZMat:
         Certificate conditions are invariant under positive scaling, so the
         exhaustive verifiers run on the integer vector.
         """
-        vec = self.upper_vector()
+        vec = [self.entries.get(pair, _ZERO) for pair in pair_indices(self.n)]
         denom = math.lcm(*(v.denominator for v in vec))
-        return [int(v * denom) for v in vec], denom
+        return [v.numerator * (denom // v.denominator) for v in vec], denom
 
     def __add__(self, other: "SymZMat") -> "SymZMat":
         if self.n != other.n:
@@ -386,7 +387,7 @@ class SymZMat:
     @classmethod
     def from_json(cls, obj: dict) -> "SymZMat":
         """Read to_json's form; n, k and l must be JSON integers (not floats,
-        booleans or strings)."""
+        booleans or strings), and each value a rational string or a JSON integer."""
         if not isinstance(obj, dict) or "n" not in obj:
             raise ValueError("matrix JSON must be an object with 'n' and 'entries'")
         n = _json_int(obj["n"], "'n'")
@@ -396,6 +397,10 @@ class SymZMat:
             key = (_json_int(k, f"'k' of entry {pos}"), _json_int(l, f"'l' of entry {pos}"))
             if key in entries:
                 raise ValueError(f"duplicate matrix entry ({key[0]},{key[1]})")
+            if type(text) is not str and type(text) is not int:
+                raise ValueError(
+                    f"matrix entry {pos} value must be a rational string or an integer, got {text!r}"
+                )
             entries[key] = parse_rat(str(text))
         return cls(n, entries)
 

@@ -153,18 +153,13 @@ class VerifyReport:
         return out
 
 
-def _margins(d: SymZMat, pi: Perm, u: Word):
-    """Exact extremal inner products of d against all permutations and cuts.
+def _cut_table(d: SymZMat, u: Word):
+    """d scaled to integers, and its cut values against the target u.
 
-    Subsets of [n] are bit masks read like their words: element j is bit
-    n - j, so the word classes are the masks 2^(n-1) .. 2^n - 2 in order.
-    cut[S] = D.M(chi^S) is tabulated for every mask, and a permutation
-    sigma is the chain of its prefix sets S_t = sigma^-1([t]), with
-    D.M(sigma) = sum_t cut[S_t].  The minimum over all chains but pi's and
-    its antipode's is then a shortest-chain problem in the subset lattice,
-    solved exactly by keeping the three best chains into every subset: at
-    most two of the three best full chains are excluded.  The base of the
-    permutation margins is D.M(pi).
+    Masks read like words: element j is bit n - j, so the word classes are
+    the masks 2^(n-1) .. 2^n - 2 in order.  Returns the nonzero scaled
+    entries as 0-based (k, l, c), cut[S] = denom * D.M(chi^S) for every
+    mask S, denom, the first class other than u's minimising cut, and u's.
     """
     n = d.n
     ints, denom = d.scaled_int_upper()
@@ -173,13 +168,6 @@ def _margins(d: SymZMat, pi: Perm, u: Word):
         for (k, l), c in zip(pair_indices(n), ints)
         if c != 0
     ]
-
-    def value(point) -> int:
-        total = 0
-        for k0, l0, c in nz:
-            a = point[k0] - point[l0]
-            total += c * (a if a >= 0 else -a)
-        return 2 * total
 
     # cut[S] = 2 * (weight crossing S); by inclusion-exclusion over the two
     # lowest bits a, b of S it is cut[S-a] + cut[S-b] - cut[S-a-b] - 4 d[a,b]
@@ -200,8 +188,37 @@ def _margins(d: SymZMat, pi: Perm, u: Word):
             - 4 * weight[a.bit_length() - 1][b.bit_length() - 1]
         )
 
+    target_mask = int(str(u.canonical()), 2)
+    cut_mask = min(
+        (s for s in range(size >> 1, size - 1) if s != target_mask), key=cut.__getitem__
+    )
+    return nz, cut, denom, cut_mask, target_mask
+
+
+def _margins(d: SymZMat, pi: Perm, u: Word):
+    """Exact extremal inner products of d against all permutations and cuts.
+
+    On _cut_table's cut values, a permutation sigma is the chain of its
+    prefix sets S_t = sigma^-1([t]), with D.M(sigma) = sum_t cut[S_t].  The
+    minimum over all chains but pi's and its antipode's is then a
+    shortest-chain problem in the subset lattice, solved exactly by keeping
+    the three best chains into every subset: at most two of the three best
+    full chains are excluded.  The base of the permutation margins is
+    D.M(pi).
+    """
+    n = d.n
+    nz, cut, denom, cut_mask, target_mask = _cut_table(d, u)
+
+    def value(point) -> int:
+        total = 0
+        for k0, l0, c in nz:
+            a = point[k0] - point[l0]
+            total += c * (a if a >= 0 else -a)
+        return 2 * total
+
     # best[S]: the three best chains from the empty set to S, as
     # (value, last bit added, rank of the chain into S minus that bit)
+    size = len(cut)
     best = [[(0, 0, 0)]] + [None] * (size - 1)
     for s in range(1, size):
         cands = []
@@ -233,11 +250,6 @@ def _margins(d: SymZMat, pi: Perm, u: Word):
     perm_arg = Perm(sigma).canonical()
     if value(perm_arg.images) - base != perm_min:
         raise AssertionError(f"chain minimum {perm_min} is not attained by {perm_arg}")
-
-    target_mask = int(str(u.canonical()), 2)
-    cut_mask = min(
-        (s for s in range(size >> 1, full) if s != target_mask), key=cut.__getitem__
-    )
     return (
         Fraction(perm_min, denom),
         perm_arg,
@@ -253,6 +265,20 @@ _SYSTEMS = {
     "farkas": (("perm", "<"), ("cut", "<"), ("target", ">=")),
 }
 _FAILS = {"<=": operator.le, "<": operator.lt, "!=": operator.ne, ">=": operator.ge}
+
+
+def _cut_side_failure(d: SymZMat, u: Word, condition: str) -> Optional[str]:
+    """The first of the system's "target" and "cut" checks that d fails for
+    u, or None.  The cut table alone decides them, at any vertex, in O(2^n):
+    a failure here fails verify_certificate too, but None proves nothing.
+    """
+    require_exhaustible(d.n)
+    _, cut, _, cut_mask, target_mask = _cut_table(d, u)
+    values = {"cut": cut[cut_mask], "target": cut[target_mask]}
+    for margin, rel in _SYSTEMS[condition]:
+        if margin in values and _FAILS[rel](values[margin], 0):
+            return margin
+    return None
 
 
 def verify_certificate(d: SymZMat, pair: HalfLinePair, condition: str) -> VerifyReport:

@@ -192,9 +192,9 @@ DISPATCH_BRANCH_WORDS = {
 }
 
 
-def test_criterion_4_synthesis_totality_n_le_9():
+def test_criterion_4_synthesis_totality_n_le_10():
     edges = witnesses = 0
-    for n in range(3, 10):
+    for n in range(3, 11):
         pi = Perm.identity(n)
         for u in word_classes(n):
             pair = HalfLinePair(pi, u)
@@ -205,8 +205,8 @@ def test_criterion_4_synthesis_totality_n_le_9():
             else:
                 assert non_edge_witness(pair).holds()
                 witnesses += 1
-    assert edges == sum(2 ** (n - 1) - n for n in range(4, 10)) + 2
-    ok(4, f"n<=9 at the identity vertex: {edges} edges certified, {witnesses} non-edges witnessed")
+    assert edges == sum(2 ** (n - 1) - n for n in range(4, 11)) + 2
+    ok(4, f"n<=10 at the identity vertex: {edges} edges certified, {witnesses} non-edges witnessed")
 
 
 def test_criterion_4_every_dispatch_branch_lifts():

@@ -10,6 +10,8 @@ Claims covered:
     - synthesis returns a verified certificate for every requested edge pair and
       refuses non-edges with the exact conic identity attached
     - the synthesized report names minimisers in the pair's own coordinates
+    - the lift search's cut-table screen only rejects candidates the verifier
+      rejects on the same check, and changes no certificate
 """
 
 import dataclasses
@@ -36,13 +38,49 @@ from linemetric import (
     inner_product,
     lift,
     lifted_word,
+    path_certificate,
     perm_metric,
     plain_alternating_base,
     synthesize,
     verify_certificate,
 )
-from linemetric.certificates import BASE_NAMES, _id_pair
+from linemetric.certificates import BASE_NAMES, MAX_DOUBLINGS, _id_pair
+from linemetric.core import format_rat
+from linemetric.edge_theory import _FAILS, _SYSTEMS
 from test_acceptance import DISPATCH_BRANCH_WORDS
+
+
+def unscreened_search_lift(cert, word, position, k, condition):
+    """The lift search without the cut-table screen: every candidate gets
+    the full verifier.  The reference for the screened search."""
+    for t in range(MAX_DOUBLINGS + 1):
+        omega = Fraction(2) ** t
+        eps = Fraction(1, 2**t)
+        for swapped in (False, True):
+            plan = LiftPlan(word, position, k, omega, eps, swapped)
+            candidate = lift(cert, plan)
+            target = lifted_word(plan)
+            report = verify_certificate(candidate, _id_pair(target), condition)
+            if report.passed:
+                step = f"lift:pos={position},k={k},omega={format_rat(omega)},epsilon={format_rat(eps)}"
+                if swapped:
+                    step += ",signs=swapped"
+                return candidate, target, step, omega, eps, report
+    raise RuntimeError(f"reference lift search exhausted at word {word}")
+
+
+def screened_pairs():
+    """The dispatch branch words at the identity, then seeded edge pairs at
+    random vertices for n <= 8 (face words included)."""
+    pairs = [_id_pair(Word.parse(text)) for text in DISPATCH_BRANCH_WORDS]
+    rnd = random.Random(61)
+    while len(pairs) < len(DISPATCH_BRANCH_WORDS) + 24:
+        n = rnd.randint(5, 8)
+        pi = Perm(rnd.sample(range(1, n + 1), n))
+        pair = HalfLinePair(pi, Word.from_set(n, rnd.sample(range(1, n + 1), rnd.randint(1, n - 1))))
+        if classify(pair).is_edge:
+            pairs.append(pair)
+    return pairs
 
 
 class TestBaseLibrary:
@@ -336,6 +374,82 @@ class TestSynthesize:
             if text == "10101001":
                 assert cert.construction[0] == "base:alternating-induction,n=7"
                 assert all(d.n == 8 for d, _, _ in calls)
+
+    def test_screen_rejects_only_what_the_verifier_rejects(self, monkeypatch):
+        # every candidate the screen skips fails the full verifier, on the
+        # very check (target or cut) and relation the screen named
+        screened = []
+        screen = certificates._cut_side_failure
+
+        def recording(d, u, condition):
+            failure = screen(d, u, condition)
+            screened.append((d, u, condition, failure))
+            return failure
+
+        monkeypatch.setattr(certificates, "_cut_side_failure", recording)
+        for pair in screened_pairs():
+            synthesize(pair)
+        rejected = [entry for entry in screened if entry[3] is not None]
+        assert len(rejected) > len(screened) // 2
+        assert "cut" in {failure for *_, failure in rejected}
+        for d, u, condition, failure in rejected:
+            report = verify_certificate(d, _id_pair(u), condition)
+            assert not report.passed
+            value = {"cut": report.cut_min, "target": report.target}[failure]
+            assert _FAILS[dict(_SYSTEMS[condition])[failure]](value, 0), (u, condition, failure)
+
+    def test_screen_names_the_first_failing_cut_side_check(self):
+        # the system's order decides between target and cut, and the perm
+        # check, which fails first in the verifier, is not the screen's
+        c1001 = base_certificate("C_1001").matrix
+        word = Word.parse("1001")
+        cases = [
+            (path_certificate(4), "plain", "target"),
+            (path_certificate(4), "farkas", "target"),
+            (c1001, "plain", "target"),
+            (c1001, "farkas", None),
+            (c1001.scale(-1), "plain", "target"),
+            (c1001.scale(-1), "farkas", "cut"),
+        ]
+        for d, condition, failure in cases:
+            assert certificates._cut_side_failure(d, word, condition) == failure
+            assert verify_certificate(d, _id_pair(word), condition).passed == (failure is None)
+
+    def test_screened_synthesis_matches_unscreened(self, monkeypatch):
+        pairs = screened_pairs()
+        screened = [synthesize(pair) for pair in pairs]
+        monkeypatch.setattr(certificates, "_search_lift", unscreened_search_lift)
+        for pair, cert in zip(pairs, screened):
+            reference = synthesize(pair)
+            assert cert.to_json() == reference.to_json()
+            assert cert.report == reference.report
+
+    def test_verifier_runs_once_per_screen_pass(self, monkeypatch):
+        # the verifier sees only candidates that pass the screen, plus the
+        # final check of a matrix no lift has verified
+        passes, calls = [], []
+        screen = certificates._cut_side_failure
+        verify = certificates.verify_certificate
+
+        def counted_screen(d, u, condition):
+            failure = screen(d, u, condition)
+            if failure is None:
+                passes.append(d)
+            return failure
+
+        def counted_verify(d, pair, condition):
+            calls.append(d)
+            return verify(d, pair, condition)
+
+        monkeypatch.setattr(certificates, "_cut_side_failure", counted_screen)
+        monkeypatch.setattr(certificates, "verify_certificate", counted_verify)
+        for pair in [*screened_pairs(), _id_pair(Word.parse("10101010"))]:
+            passes.clear()
+            calls.clear()
+            cert = synthesize(pair)
+            lifted = any(step.startswith("lift:") for step in cert.construction)
+            assert len(calls) == len(passes) + (0 if lifted else 1), pair
+            assert calls[: len(passes)] == passes
 
     def assert_report_at_the_pair(self, cert):
         # the report's argmins are the pair's own permutation and cut classes

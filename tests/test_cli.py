@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import linemetric.certificates as certificates
+import linemetric.cli as cli
 import linemetric.line_metrics as line_metrics
 from linemetric import Perm, SymZMat, Word, cut_metric, inner_product, perm_metric
 from linemetric.cli import main
@@ -308,6 +309,30 @@ class TestCheckMetric:
         code, out, _ = run(capsys, "check-metric", "--matrix", path, "--spreading")
         assert code == 0 and "spreading: ok" in out.splitlines()
 
+    def test_spreading_size_bound_before_analysis(self, capsys, tmp_path, monkeypatch):
+        # the quadratic membership analysis must not run on a size the
+        # spreading scan refuses; without --spreading it still runs
+        path = tmp_path / "m.json"
+        path.write_text('{"n": 2000, "entries": []}')
+        calls = []
+        analyze = line_metrics.analyze_metric
+
+        def counted(mat):
+            calls.append(mat.n)
+            return analyze(mat)
+
+        monkeypatch.setattr(cli, "analyze_metric", counted)
+        monkeypatch.delenv("LINEMETRIC_MAX_N", raising=False)
+        code, out, err = run(capsys, "check-metric", "--matrix", str(path), "--spreading")
+        assert code == 64 and out == "" and calls == []
+        assert err == (
+            "usage error: too large: n=2000 exceeds the exhaustion bound 12 "
+            "(set LINEMETRIC_MAX_N to raise it)\n"
+        )
+        small = write_matrix(tmp_path / "small.json", perm_metric(Perm.identity(4)))
+        code, _, _ = run(capsys, "check-metric", "--matrix", small)
+        assert code == 0 and calls == [4]
+
 
 class TestUnreadableInput:
     # a matrix file that does not parse to a matrix, or a certificate path
@@ -351,6 +376,24 @@ class TestUnreadableInput:
         assert err == (
             f"usage error: cannot read matrix file {path}: "
             "matrix field 'n' must be an integer, got 4.9\n"
+        )
+
+    @pytest.mark.parametrize("command", ["check-metric", "verify-only"])
+    def test_float_entry_value(self, capsys, tmp_path, command):
+        # float() would read the value as 1543209862654321/12500000000000000
+        path = tmp_path / "m.json"
+        path.write_text(
+            '{"n": 4, "entries": [[1, 2, "1"], [2, 3, 0.12345678901234567891], [3, 4, "1"]]}'
+        )
+        if command == "check-metric":
+            argv = ["check-metric", "--matrix", str(path)]
+        else:
+            argv = ["certify", "4", "--u", "1000", "--verify-only", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == ""
+        assert err == (
+            f"usage error: cannot read matrix file {path}: matrix entry 2 value must be "
+            "a rational string or an integer, got 0.12345678901234568\n"
         )
 
     def test_non_string_condition(self, capsys, tmp_path):

@@ -6,15 +6,18 @@ Claims covered:
     - antipode is an involution and leaves the embedded metric unchanged
     - word structure (slopes, hills, valleys, alternating) reads off the runs
     - text and JSON forms round-trip exactly; matrix JSON indices are integers
+      and values are rational strings or integers, never floats
+    - the integer upper triangle is the matrix times the lcm of its denominators
 """
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linemetric import (
@@ -190,6 +193,24 @@ class TestSymZMat:
         with pytest.raises(ValueError, match=f"^matrix field {field} must be an integer, got "):
             SymZMat.from_json(obj)
 
+    @pytest.mark.parametrize(
+        "value", [0.12345678901234567891, 1e-400, 0.5, 2.0, True, False, None, [1]]
+    )
+    def test_json_values_must_be_exact(self, value):
+        # float() would read 0.12345678901234567891 as a nearby dyadic-decimal
+        # rational and 1e-400 as zero
+        obj = json.loads(json.dumps({"n": 3, "entries": [[1, 2, "1"], [1, 3, value]]}))
+        with pytest.raises(
+            ValueError, match=r"^matrix entry 2 value must be a rational string or an integer, got "
+        ):
+            SymZMat.from_json(obj)
+
+    def test_json_values_may_be_integers(self):
+        obj = {"n": 3, "entries": [[1, 2, 3], [1, 3, -12345678901234567891], [2, 3, "7/4"]]}
+        assert SymZMat.from_json(obj) == SymZMat(
+            3, {(1, 2): 3, (1, 3): -12345678901234567891, (2, 3): Fraction(7, 4)}
+        )
+
     def test_json_omits_zeros(self):
         m = SymZMat(3, {(1, 2): 0, (1, 3): 5})
         assert m.to_json()["entries"] == [[1, 3, "5"]]
@@ -296,3 +317,15 @@ def sym_matrices(draw):
 def test_property_json_roundtrip(m):
     assert SymZMat.from_json(m.to_json()) == m
     assert SymZMat.from_json(json.loads(json.dumps(m.to_json()))) == m
+
+
+@settings(max_examples=150, deadline=None)
+@given(sym_matrices())
+@example(SymZMat(4, {(1, 2): Fraction(-3, 4), (1, 3): Fraction(5, 6), (2, 4): 7}))
+def test_property_scaled_int_upper(m):
+    ints, denom = m.scaled_int_upper()
+    vec = m.upper_vector()
+    assert denom == math.lcm(*(v.denominator for v in vec))
+    assert len(ints) == len(vec)
+    for i, v in zip(ints, vec):
+        assert type(i) is int and i == v * denom
