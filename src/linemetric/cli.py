@@ -3,22 +3,33 @@
 Exit codes are stable: 0 success, 2 verification failure, 3 synthesis
 requested for a non-edge pair, 64 usage error (bad arguments, input files
 or LINEMETRIC_MAX_N), 70 internal error (a failed internal consistency
-check, such as a synthesized certificate that does not verify).  Errors
-print one line on stderr, never a traceback.  All numeric output is exact
-rational text; JSON mode wraps results in a run report with the command
-echo and library version.
+check, such as a synthesized certificate that does not verify, or a
+ValueError raised inside the library rather than by an input check).
+Errors print one line on stderr, never a traceback.  All numeric output
+is exact rational text; JSON mode wraps results in a run report with the
+command echo and library version.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
 import time
 from fractions import Fraction
 
 from . import __version__
-from .core import Perm, SymZMat, Word, exhaustion_bound, format_rat, require_exhaustible
+from .core import (
+    Perm,
+    SymZMat,
+    Word,
+    exhaustion_bound,
+    format_rat,
+    raised_bound,
+    require_exhaustible,
+)
 from .edge_theory import (
     HalfLinePair,
     classify,
@@ -36,9 +47,27 @@ EXIT_NON_EDGE = 3
 EXIT_USAGE = 64
 EXIT_SOFTWARE = 70
 
+# check-metric's membership analysis is quadratic in n; LINEMETRIC_MAX_N may raise this
+DEFAULT_METRIC_BOUND = 200
+CONDITIONS = ("farkas", "plain")
+
 
 class _Usage(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _reading_input():
+    """Report a ValueError raised while reading the command's input as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _Usage(str(exc)) from None
+
+
+def metric_bound() -> int:
+    """Largest n check-metric analyses without --spreading; LINEMETRIC_MAX_N may raise it."""
+    return raised_bound(DEFAULT_METRIC_BOUND)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,7 +100,8 @@ def cmd_edges(args) -> int:
     n = args.n
     if not 3 <= n <= exhaustion_bound():
         raise _Usage(f"n must be between 3 and {exhaustion_bound()}")
-    pi = Perm.parse(args.at) if args.at else Perm.identity(n)
+    with _reading_input():
+        pi = Perm.parse(args.at) if args.at else Perm.identity(n)
     if pi.n != n:
         raise _Usage(f"permutation {args.at} does not have length {n}")
     edges = enumerate_edges_at(pi)
@@ -109,16 +139,23 @@ def _load_matrix(path: str) -> tuple[SymZMat, str | None]:
 def cmd_certify(args) -> int:
     started = time.perf_counter()
     n = args.n
-    pi = Perm.parse(args.pi) if args.pi else Perm.identity(n)
-    u = Word.parse(args.u)
-    if pi.n != n or u.n != n:
-        raise _Usage(f"pair sizes do not match n={n}")
-    pair = HalfLinePair(pi, u)
+    if not 3 <= n <= exhaustion_bound():
+        raise _Usage(f"n must be between 3 and {exhaustion_bound()}")
+    with _reading_input():
+        pi = Perm.parse(args.pi) if args.pi else Perm.identity(n)
+        u = Word.parse(args.u)
+        if pi.n != n or u.n != n:
+            raise _Usage(f"pair sizes do not match n={n}")
+        pair = HalfLinePair(pi, u)
 
     verdict = classify(pair)
     if args.verify_only:
         mat, condition = _load_matrix(args.verify_only)
-        conditions = [condition] if condition else ["farkas", "plain"]
+        if mat.n != n:
+            raise _Usage(f"dimension mismatch: matrix {mat.n} vs pair {n}")
+        if condition and condition not in CONDITIONS:
+            raise _Usage(f"unknown condition {condition!r}")
+        conditions = [condition] if condition else CONDITIONS
         report = None
         for cond in conditions:
             report = verify_certificate(mat, pair, cond)
@@ -177,12 +214,19 @@ def cmd_check_metric(args) -> int:
     started = time.perf_counter()
     mat, _ = _load_matrix(args.matrix)
     if args.spreading:
-        require_exhaustible(mat.n)
+        with _reading_input():
+            require_exhaustible(mat.n)
+    elif mat.n > metric_bound():
+        raise _Usage(
+            f"too large: n={mat.n} exceeds the metric bound {metric_bound()} "
+            "(set LINEMETRIC_MAX_N to raise it)"
+        )
     if args.scale != "1":
-        try:
-            eps = Fraction(args.scale)
-        except ZeroDivisionError:
-            raise _Usage("--scale must be a positive rational")
+        with _reading_input():
+            try:
+                eps = Fraction(args.scale)
+            except ZeroDivisionError:
+                eps = Fraction(0)
         if eps <= 0:
             raise _Usage("--scale must be a positive rational")
         mat = mat.scale(Fraction(1) / eps)
@@ -293,7 +337,10 @@ def cmd_crosscheck(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process and shared by every
+    main() call; it holds no per-call state, and callers must not change it."""
     parser = _Parser(prog="linemetric", description=__doc__)
     parser.add_argument("--version", action="version", version=f"linemetric {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -336,16 +383,18 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code.  Safe to call repeatedly in
+    one process: the parser is built on the first call and reused."""
     try:
-        args = parser.parse_args(argv)
-        exhaustion_bound()  # a malformed LINEMETRIC_MAX_N is a usage error for every command
+        args = build_parser().parse_args(argv)
+        with _reading_input():
+            exhaustion_bound()  # a malformed LINEMETRIC_MAX_N is a usage error for every command
         return args.func(args)
-    except (_Usage, ValueError) as exc:
+    except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except AssertionError as exc:
-        print(f"internal error: {str(exc) or 'assertion failed'}", file=sys.stderr)
+    except (AssertionError, ValueError) as exc:
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_SOFTWARE
 
 

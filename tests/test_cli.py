@@ -227,6 +227,17 @@ class TestInternalError:
         assert "planted" in err and "Traceback" not in err
 
 
+    def test_library_value_error_exits_70(self, capsys, monkeypatch):
+        # a ValueError from inside the library is a fault, not bad input
+        def broken(pair):
+            raise ValueError("planted")
+
+        monkeypatch.setattr(cli, "synthesize", broken)
+        code, out, err = run(capsys, "certify", "4", "--u", "1001")
+        assert code == 70 and out == ""
+        assert err == "internal error: planted\n"
+
+
 class TestCheckMetric:
     def test_separated_metric(self, capsys, tmp_path):
         path = write_matrix(tmp_path / "m.json", perm_metric(Perm.identity(3)))
@@ -333,6 +344,30 @@ class TestCheckMetric:
         code, _, _ = run(capsys, "check-metric", "--matrix", small)
         assert code == 0 and calls == [4]
 
+    def test_metric_size_bound_before_analysis(self, capsys, tmp_path, monkeypatch):
+        # without --spreading the quadratic analysis has its own, larger bound
+        path = tmp_path / "m.json"
+        path.write_text('{"n": 201, "entries": []}')
+        calls = []
+        analyze = line_metrics.analyze_metric
+
+        def counted(mat):
+            calls.append(mat.n)
+            return analyze(mat)
+
+        monkeypatch.setattr(cli, "analyze_metric", counted)
+        monkeypatch.delenv("LINEMETRIC_MAX_N", raising=False)
+        assert cli.metric_bound() == 200
+        code, out, err = run(capsys, "check-metric", "--matrix", str(path), "--facet")
+        assert code == 64 and out == "" and calls == []
+        assert err == (
+            "usage error: too large: n=201 exceeds the metric bound 200 "
+            "(set LINEMETRIC_MAX_N to raise it)\n"
+        )
+        monkeypatch.setenv("LINEMETRIC_MAX_N", "201")
+        code, out, _ = run(capsys, "check-metric", "--matrix", str(path))
+        assert code == 0 and out.startswith("E_201: yes") and calls == [201]
+
 
 class TestUnreadableInput:
     # a matrix file that does not parse to a matrix, or a certificate path
@@ -404,6 +439,12 @@ class TestUnreadableInput:
         assert code == 64 and out == ""
         assert err == "usage error: unknown condition [1]\n"
 
+    def test_matrix_of_another_size(self, capsys, tmp_path):
+        path = write_matrix(tmp_path / "m.json", perm_metric(Perm.identity(5)))
+        code, out, err = run(capsys, "certify", "4", "--u", "1001", "--verify-only", path)
+        assert code == 64 and out == ""
+        assert err == "usage error: dimension mismatch: matrix 5 vs pair 4\n"
+
     def test_unwritable_emit_path(self, capsys, tmp_path):
         path = tmp_path / "missing" / "c.json"
         code, out, err = run(capsys, "certify", "4", "--u", "1001", "--emit", str(path))
@@ -444,3 +485,67 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "2", "--u", "10"],
+            ["certify", "13", "--u", "1000000000000"],
+            # a non-edge, which classification alone would answer
+            ["certify", "13", "--u", "1010000000000"],
+        ],
+    )
+    def test_certify_size_bound(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("LINEMETRIC_MAX_N", raising=False)
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == ""
+        assert err == "usage error: n must be between 3 and 12\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["certify", "4", "--u", "12"], "not a 0/1 word: '12'"),
+            (["certify", "4", "--u", "0000"], "word 0000 must be proper and nonempty"),
+            (["certify", "4", "--pi", "1,1,2,3", "--u", "1001"], "not a bijection of [4]: (1, 1, 2, 3)"),
+            (["edges", "4", "--at", "x"], "invalid literal for int() with base 10: 'x'"),
+        ],
+    )
+    def test_bad_word_or_permutation(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == ""
+        assert err == f"usage error: {message}\n"
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_in_sequence_match_calls_on_their_own(self, capsys, tmp_path):
+        # the reused parser must carry nothing from one call into the next
+        matrix = write_matrix(tmp_path / "m.json", perm_metric(Perm.identity(4)))
+        sequence = [
+            ["certify", "4", "--u", "12"],
+            ["certify", "5", "--u", "10110", "--json"],
+            ["--version"],
+            ["check-metric", "--matrix", matrix, "--scale", "x"],
+            ["check-metric", "--matrix", matrix, "--spreading"],
+            ["certify", "4", "--u", "1001"],
+        ]
+
+        def call(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            return code, re.sub(r'"timing_ms": \d+', "", out.out), out.err
+
+        alone = []
+        for argv in sequence:
+            cli.build_parser.cache_clear()
+            alone.append(call(argv))
+        cli.build_parser.cache_clear()
+        in_sequence = [call(argv) for argv in sequence]
+        assert in_sequence == alone
+        assert [code for code, _, _ in alone] == [64, 0, 0, 64, 0, 0]
+        assert alone[2][1] == f"linemetric {cli.__version__}\n"
