@@ -47,9 +47,9 @@ EXIT_NON_EDGE = 3
 EXIT_USAGE = 64
 EXIT_SOFTWARE = 70
 
-# check-metric's membership analysis is quadratic in n; LINEMETRIC_MAX_N may raise this
+# check-metric's membership analysis is quadratic in n
 DEFAULT_METRIC_BOUND = 200
-CONDITIONS = ("farkas", "plain")
+_CONDITIONS = ("farkas", "plain")
 
 
 class _Usage(Exception):
@@ -153,9 +153,9 @@ def cmd_certify(args) -> int:
         mat, condition = _load_matrix(args.verify_only)
         if mat.n != n:
             raise _Usage(f"dimension mismatch: matrix {mat.n} vs pair {n}")
-        if condition and condition not in CONDITIONS:
+        if condition and condition not in _CONDITIONS:
             raise _Usage(f"unknown condition {condition!r}")
-        conditions = [condition] if condition else CONDITIONS
+        conditions = [condition] if condition else _CONDITIONS
         report = None
         for cond in conditions:
             report = verify_certificate(mat, pair, cond)
