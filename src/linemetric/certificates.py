@@ -33,6 +33,8 @@ from .core import (
     Word,
     conjugate,
     format_rat,
+    pair_index,
+    pair_indices,
 )
 from .edge_theory import (
     HalfLinePair,
@@ -149,8 +151,8 @@ def path_certificate(n: int) -> SymZMat:
     """
     if n < 3:
         raise ValueError("path certificate needs n >= 3")
-    entries = {(j, j + 1): Fraction(1) for j in range(1, n)}
-    entries[(1, n)] = Fraction(-1)
+    entries = {(j, j + 1): 1 for j in range(1, n)}
+    entries[(1, n)] = -1
     return SymZMat(n, entries)
 
 
@@ -163,7 +165,7 @@ def face_certificate(n: int, excluded: Iterable[Word] = ()) -> SymZMat:
         if not incident(Perm.identity(n), u):
             raise ValueError(f"{u} is not incident to the identity")
         j = max(u.elements)
-        bump[(j, j + 1)] = bump.get((j, j + 1), Fraction(0)) + 1
+        bump[(j, j + 1)] = bump.get((j, j + 1), 0) + 1
     return mat + SymZMat(n, bump)
 
 
@@ -189,7 +191,7 @@ class LiftPlan:
             raise ValueError(f"position {self.position} outside word {self.word}")
         if self.k < 0:
             raise ValueError("k must be >= 0")
-        if Fraction(self.omega) < 1 or Fraction(self.epsilon) <= 0:
+        if self.omega < 1 or self.epsilon <= 0:
             raise ValueError("need omega >= 1 and epsilon > 0")
 
 
@@ -216,27 +218,30 @@ def lift(base_cert: SymZMat, plan: LiftPlan) -> SymZMat:
     k = plan.k
     la = plan.position - 1
     n2 = n + k
-    omega = Fraction(plan.omega)
-    eps = Fraction(plan.epsilon)
-    sign = -1 if plan.swap_block_signs else 1
+    omega, eps = plan.omega, plan.epsilon
+    # one int per entry over denom; epsilon * base_cert adds stretch * base_cert.ints
+    denom = omega.denominator * eps.denominator * base_cert.denom
+    unit = -denom if plan.swap_block_signs else denom
+    ints = [0] * (n2 * (n2 - 1) // 2)
 
-    entries = {}
     # heavy path on the inserted block: positions la+1 .. la+k+1
+    heavy = omega.numerator * eps.denominator * base_cert.denom
     for i in range(la + 1, la + k + 1):
-        entries[(i, i + 1)] = omega
+        ints[pair_index(n2, i, i + 1)] = heavy
     # border blocks: first path row couples +1 to the left part and -1 to the
     # right part, the last path row the other way around
     first, last = la + 1, la + k + 1
     for j in range(1, la + 1):
-        entries[(j, first)] = entries.get((j, first), Fraction(0)) + sign
-        entries[(j, last)] = entries.get((j, last), Fraction(0)) - sign
+        ints[pair_index(n2, j, first)] += unit
+        ints[pair_index(n2, j, last)] -= unit
     for j in range(la + k + 2, n2 + 1):
-        entries[(first, j)] = entries.get((first, j), Fraction(0)) - sign
-        entries[(last, j)] = entries.get((last, j), Fraction(0)) + sign
+        ints[pair_index(n2, first, j)] -= unit
+        ints[pair_index(n2, last, j)] += unit
 
     # stretched base certificate
+    stretch = eps.numerator * omega.denominator
     pos = plan.position
-    for (i, j), v in base_cert.entries.items():
+    for (i, j), v in zip(pair_indices(n), base_cert.ints):
         if i == pos:
             ni, nj = la + k + 1, j + k
         elif j == pos:
@@ -246,8 +251,8 @@ def lift(base_cert: SymZMat, plan: LiftPlan) -> SymZMat:
             nj = j if j <= la else j + k
         if ni > nj:
             ni, nj = nj, ni
-        entries[(ni, nj)] = entries.get((ni, nj), Fraction(0)) + eps * v
-    return SymZMat(n2, entries)
+        ints[pair_index(n2, ni, nj)] += stretch * v
+    return SymZMat.of_ints(n2, ints, denom)
 
 
 def plain_alternating_base(n: int) -> SymZMat:
@@ -268,8 +273,10 @@ def plain_alternating_base(n: int) -> SymZMat:
 
 
 def _embed_block(mat: SymZMat, n: int, offset: int) -> SymZMat:
-    entries = {(k + offset, l + offset): v for (k, l), v in mat.entries.items()}
-    return SymZMat(n, entries)
+    ints = [0] * (n * (n - 1) // 2)
+    for (k, l), v in zip(pair_indices(mat.n), mat.ints):
+        ints[pair_index(n, k + offset, l + offset)] = v
+    return SymZMat.of_ints(n, ints, mat.denom)
 
 
 def induct_alternating(n: int) -> SymZMat:

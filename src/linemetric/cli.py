@@ -27,6 +27,8 @@ from .core import (
     Word,
     exhaustion_bound,
     format_rat,
+    pair_indices,
+    parse_matrix_json,
     raised_bound,
     require_exhaustible,
 )
@@ -124,14 +126,21 @@ def cmd_edges(args) -> int:
     return EXIT_OK
 
 
-def _load_matrix(path: str) -> tuple[SymZMat, str | None]:
-    """Load a matrix file: either bare matrix JSON or a full certificate."""
+def _load_matrix(path: str, check_n) -> tuple[SymZMat, str | None]:
+    """Load a matrix file: either bare matrix JSON or a full certificate.
+
+    check_n(n) sees the file's n before the matrix is built, which holds all
+    n(n-1)/2 entries, and refuses a size by raising _Usage.
+    """
     try:
         with open(path) as fh:
             obj = json.load(fh)
+        condition = None
         if "matrix" in obj:
-            return SymZMat.from_json(obj["matrix"]), obj.get("condition")
-        return SymZMat.from_json(obj), None
+            obj, condition = obj["matrix"], obj.get("condition")
+        n, entries = parse_matrix_json(obj)
+        check_n(n)
+        return SymZMat(n, entries), condition
     except (OSError, ValueError, KeyError, TypeError, ArithmeticError, RecursionError) as exc:
         raise _Usage(f"cannot read matrix file {path}: {exc}")
 
@@ -150,9 +159,11 @@ def cmd_certify(args) -> int:
 
     verdict = classify(pair)
     if args.verify_only:
-        mat, condition = _load_matrix(args.verify_only)
-        if mat.n != n:
-            raise _Usage(f"dimension mismatch: matrix {mat.n} vs pair {n}")
+        def check_n(size):
+            if size != n:
+                raise _Usage(f"dimension mismatch: matrix {size} vs pair {n}")
+
+        mat, condition = _load_matrix(args.verify_only, check_n)
         if condition and condition not in _CONDITIONS:
             raise _Usage(f"unknown condition {condition!r}")
         conditions = [condition] if condition else _CONDITIONS
@@ -212,15 +223,18 @@ def cmd_certify(args) -> int:
 
 def cmd_check_metric(args) -> int:
     started = time.perf_counter()
-    mat, _ = _load_matrix(args.matrix)
-    if args.spreading:
-        with _reading_input():
-            require_exhaustible(mat.n)
-    elif mat.n > metric_bound():
-        raise _Usage(
-            f"too large: n={mat.n} exceeds the metric bound {metric_bound()} "
-            "(set LINEMETRIC_MAX_N to raise it)"
-        )
+
+    def check_n(n):
+        if args.spreading:
+            with _reading_input():
+                require_exhaustible(n)
+        elif n > metric_bound():
+            raise _Usage(
+                f"too large: n={n} exceeds the metric bound {metric_bound()} "
+                "(set LINEMETRIC_MAX_N to raise it)"
+            )
+
+    mat, _ = _load_matrix(args.matrix, check_n)
     if args.scale != "1":
         with _reading_input():
             try:
@@ -244,10 +258,8 @@ def cmd_check_metric(args) -> int:
             results["pi"] = str(info.pi)
             results["x"] = [format_rat(v) for v in info.witness]
         else:
-            k, l = min(
-                ((k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)),
-                key=lambda p: mat.get(*p),
-            )
+            low = min(range(len(mat.ints)), key=mat.ints.__getitem__)
+            k, l = pair_indices(n)[low]
             v = mat.get(k, l)
             lines.append(f"E_{n}^b: no (entry ({k},{l})={format_rat(v)} < 1)")
             results["min_entry"] = {"pair": [k, l], "value": format_rat(v)}

@@ -1,8 +1,11 @@
 """Exact scalars, permutations, binary words, and symmetric zero-diagonal matrices,
 and the size bound shared by the exhaustive scans.
 
-Everything in this package is exact: scalars are arbitrary-precision
-rationals (``fractions.Fraction``), and no operation ever touches a float.
+Everything in this package is exact, and no operation ever touches a
+float.  A matrix is one tuple of Python ints over one positive denominator,
+in lowest terms, and its arithmetic runs on those ints; the scalars that
+leave it (entries, inner products, margins and witnesses) are
+arbitrary-precision rationals (``fractions.Fraction``).
 Indices are 1-based in all public interfaces, so a permutation of [n] maps
 positions 1..n to values 1..n and matrix entries are addressed as (k, l)
 with 1 <= k < l <= n.
@@ -12,12 +15,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 RatLike = Union[int, Fraction]
-_ZERO = Fraction(0)
 
 DEFAULT_EXHAUSTION_BOUND = 12
 
@@ -27,13 +30,14 @@ def raised_bound(default: int) -> int:
     env = os.environ.get("LINEMETRIC_MAX_N")
     if not env:
         return default
-    try:
-        value = int(env)
-    except ValueError:
-        value = None
-    if value is None or value < 3:
+    if not _is_decimal(env) or int(env) < 3:
         raise ValueError(f"LINEMETRIC_MAX_N must be an integer >= 3, got {env!r}")
-    return max(default, value)
+    return max(default, int(env))
+
+
+def _is_decimal(text: str) -> bool:
+    """Only ASCII digits: int() would also take other scripts' digits, '_', signs and spaces."""
+    return text.isascii() and text.isdigit()
 
 
 def exhaustion_bound() -> int:
@@ -58,7 +62,6 @@ def parse_rat(text: str) -> Fraction:
 
 def format_rat(q: RatLike) -> str:
     """Render an exact rational as 'p/q', or 'p' when the denominator is 1."""
-    q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -67,6 +70,11 @@ def format_rat(q: RatLike) -> str:
 def pair_indices(n: int) -> list[tuple[int, int]]:
     """All (k, l) with 1 <= k < l <= n, in lexicographic order."""
     return [(k, l) for k in range(1, n) for l in range(k + 1, n + 1)]
+
+
+def pair_index(n: int, k: int, l: int) -> int:
+    """Position of (k, l), 1 <= k < l <= n, in pair_indices(n)."""
+    return (k - 1) * (2 * n - k) // 2 + l - k - 1
 
 
 class Perm:
@@ -92,8 +100,12 @@ class Perm:
 
     @classmethod
     def parse(cls, text: str) -> "Perm":
-        """Parse the comma-separated text form, e.g. '1,3,2'."""
-        return cls(int(part) for part in text.split(","))
+        """Parse the comma-separated text form, e.g. '1,3,2', of ASCII decimal parts."""
+        parts = text.split(",")
+        for part in parts:
+            if not _is_decimal(part):
+                raise ValueError(f"permutation {text!r}: {part!r} is not a decimal integer")
+        return cls(map(int, parts))
 
     @property
     def n(self) -> int:
@@ -275,27 +287,47 @@ def word_classes(n: int) -> Iterator[Word]:
 class SymZMat:
     """Symmetric n x n matrix over Q with zero diagonal, stored as its upper triangle.
 
-    The entries dict maps (k, l) with k < l to a nonzero Fraction; absent
-    pairs are zero. Instances are immutable and hashable.
+    ints holds the entries times denom, as Python ints in pair_indices(n)
+    order, and denom is a positive int.  Every instance is in lowest terms,
+    gcd(denom, *ints) == 1, so a matrix has exactly one (n, ints, denom)
+    and equality and hashing compare those fields.  Instances are immutable.
     """
 
-    __slots__ = ("n", "entries")
+    __slots__ = ("n", "ints", "denom")
 
     def __init__(self, n: int, entries: Optional[dict] = None):
+        """Build from {(k, l): rational} with k < l; absent pairs are zero."""
         if n < 1:
             raise ValueError("dimension must be >= 1")
-        clean = {}
+        vals = [0] * (n * (n - 1) // 2)
         for (k, l), v in (entries or {}).items():
             if not (1 <= k < l <= n):
                 raise ValueError(f"bad index pair ({k},{l}) for n={n}")
-            v = Fraction(v)
-            if v != 0:
-                clean[(k, l)] = v
+            vals[pair_index(n, k, l)] = v if isinstance(v, (int, Fraction)) else Fraction(v)
+        denom = math.lcm(*(v.denominator for v in vals))
+        # lowest terms already: each prime's full power in denom divides some denominator
+        self._set(n, tuple(v.numerator * (denom // v.denominator) for v in vals), denom)
+
+    def _set(self, n: int, ints: tuple, denom: int) -> None:
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", clean)
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "denom", denom)
 
     def __setattr__(self, *a):
         raise AttributeError("SymZMat is immutable")
+
+    @classmethod
+    def of_ints(cls, n: int, ints: Iterable[int], denom: int = 1) -> "SymZMat":
+        """The matrix with upper triangle ints / denom, in pair_indices order; denom > 0."""
+        ints = tuple(ints)
+        if denom != 1:
+            g = math.gcd(denom, *ints)
+            if g != 1:
+                ints = tuple(a // g for a in ints)
+                denom //= g
+        m = object.__new__(cls)
+        m._set(n, ints, denom)
+        return m
 
     @classmethod
     def zero(cls, n: int) -> "SymZMat":
@@ -313,96 +345,89 @@ class SymZMat:
             for l in range(k + 1, n):
                 if rows[k][l] != rows[l][k]:
                     raise ValueError(f"not symmetric at ({k + 1},{l + 1})")
-                entries[(k + 1, l + 1)] = Fraction(rows[k][l])
+                entries[(k + 1, l + 1)] = rows[k][l]
         return cls(n, entries)
 
     @classmethod
     def all_ones(cls, n: int) -> "SymZMat":
         """Off-diagonal all-ones matrix; the facet normal of the bounded facet."""
-        return cls(n, {pair: 1 for pair in pair_indices(n)})
+        return cls.of_ints(n, [1] * (n * (n - 1) // 2))
 
     def get(self, k: int, l: int) -> Fraction:
         if k == l:
             return Fraction(0)
         if k > l:
             k, l = l, k
-        return self.entries.get((k, l), Fraction(0))
+        return Fraction(self.ints[pair_index(self.n, k, l)], self.denom)
 
     def rows(self) -> list[list[Fraction]]:
-        out = [[Fraction(0)] * self.n for _ in range(self.n)]
-        for (k, l), v in self.entries.items():
-            out[k - 1][l - 1] = v
-            out[l - 1][k - 1] = v
-        return out
-
-    def upper_vector(self) -> list[Fraction]:
-        """Upper-triangle entries in pair_indices order."""
-        return [self.get(k, l) for (k, l) in pair_indices(self.n)]
-
-    def scaled_int_upper(self) -> tuple[list[int], int]:
-        """(numerators, denominator): upper triangle times the lcm of denominators.
-
-        Certificate conditions are invariant under positive scaling, so the
-        exhaustive verifiers run on the integer vector.
-        """
-        vec = [self.entries.get(pair, _ZERO) for pair in pair_indices(self.n)]
-        denom = math.lcm(*(v.denominator for v in vec))
-        return [v.numerator * (denom // v.denominator) for v in vec], denom
+        return [[self.get(k, l) for l in range(1, self.n + 1)] for k in range(1, self.n + 1)]
 
     def __add__(self, other: "SymZMat") -> "SymZMat":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        entries = dict(self.entries)
-        for pair, v in other.entries.items():
-            entries[pair] = entries.get(pair, Fraction(0)) + v
-        return SymZMat(self.n, entries)
+        denom = math.lcm(self.denom, other.denom)
+        f, g = denom // self.denom, denom // other.denom
+        return SymZMat.of_ints(
+            self.n, [a * f + b * g for a, b in zip(self.ints, other.ints)], denom
+        )
 
     def __sub__(self, other: "SymZMat") -> "SymZMat":
         return self + other.scale(-1)
 
     def scale(self, c: RatLike) -> "SymZMat":
-        c = Fraction(c)
-        return SymZMat(self.n, {pair: c * v for pair, v in self.entries.items()})
+        p, q = c.numerator, c.denominator
+        return SymZMat.of_ints(self.n, [p * a for a in self.ints], q * self.denom)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SymZMat)
             and self.n == other.n
-            and self.entries == other.entries
+            and self.denom == other.denom
+            and self.ints == other.ints
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, tuple(sorted(self.entries.items()))))
+        return hash((self.n, self.ints, self.denom))
 
     def __repr__(self) -> str:
-        return f"SymZMat(n={self.n}, nonzeros={len(self.entries)})"
+        return f"SymZMat(n={self.n}, nonzeros={len(self.ints) - self.ints.count(0)})"
 
     def to_json(self) -> dict:
-        """{'n': n, 'entries': [[k, l, 'p/q'], ...]} over the strict upper triangle."""
+        """{'n': n, 'entries': [[k, l, 'p/q'], ...]} over the nonzero strict upper triangle."""
         triples = [
-            [k, l, format_rat(v)] for (k, l), v in sorted(self.entries.items())
+            [k, l, format_rat(Fraction(a, self.denom) if self.denom != 1 else a)]
+            for (k, l), a in zip(pair_indices(self.n), self.ints)
+            if a
         ]
         return {"n": self.n, "entries": triples}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SymZMat":
-        """Read to_json's form; n, k and l must be JSON integers (not floats,
-        booleans or strings), and each value a rational string or a JSON integer."""
-        if not isinstance(obj, dict) or "n" not in obj:
-            raise ValueError("matrix JSON must be an object with 'n' and 'entries'")
-        n = _json_int(obj["n"], "'n'")
-        entries = {}
-        for pos, item in enumerate(obj.get("entries", []), start=1):
-            k, l, text = item
-            key = (_json_int(k, f"'k' of entry {pos}"), _json_int(l, f"'l' of entry {pos}"))
-            if key in entries:
-                raise ValueError(f"duplicate matrix entry ({key[0]},{key[1]})")
-            if type(text) is not str and type(text) is not int:
-                raise ValueError(
-                    f"matrix entry {pos} value must be a rational string or an integer, got {text!r}"
-                )
-            entries[key] = parse_rat(str(text))
-        return cls(n, entries)
+        """Read to_json's form, as parse_matrix_json reads it."""
+        return cls(*parse_matrix_json(obj))
+
+
+def parse_matrix_json(obj: dict) -> tuple[int, dict]:
+    """(n, {(k, l): Fraction}) from to_json's form, checked entry by entry but
+    not yet a matrix, so a caller can refuse n before the n(n-1)/2 entries
+    are allocated.  n, k and l must be JSON integers (not floats, booleans or
+    strings), and each value a rational string or a JSON integer."""
+    if not isinstance(obj, dict) or "n" not in obj:
+        raise ValueError("matrix JSON must be an object with 'n' and 'entries'")
+    n = _json_int(obj["n"], "'n'")
+    entries = {}
+    for pos, item in enumerate(obj.get("entries", []), start=1):
+        k, l, text = item
+        key = (_json_int(k, f"'k' of entry {pos}"), _json_int(l, f"'l' of entry {pos}"))
+        if key in entries:
+            raise ValueError(f"duplicate matrix entry ({key[0]},{key[1]})")
+        if type(text) is not str and type(text) is not int:
+            raise ValueError(
+                f"matrix entry {pos} value must be a rational string or an integer, got {text!r}"
+            )
+        entries[key] = parse_rat(str(text))
+    return n, entries
 
 
 def _json_int(value, field: str) -> int:
@@ -415,26 +440,24 @@ def inner_product(a: SymZMat, b: SymZMat) -> Fraction:
     """tr(a^T b): the sum over all ordered pairs, twice the upper-triangle dot."""
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    small, large = (a, b) if len(a.entries) <= len(b.entries) else (b, a)
-    total = Fraction(0)
-    for pair, v in small.entries.items():
-        w = large.entries.get(pair)
-        if w is not None:
-            total += v * w
-    return 2 * total
+    return Fraction(2 * sum(map(operator.mul, a.ints, b.ints)), a.denom * b.denom)
 
 
 def conjugate(m: SymZMat, sigma: Perm) -> SymZMat:
     """E_sigma^T m E_sigma: entry (k, l) becomes m[sigma(k), sigma(l)].
 
     Satisfies conjugate(M(x), sigma) = M(x o sigma), where (x o sigma)_j =
-    x_(sigma(j)); it is a linear isometry of the matrix space.
+    x_(sigma(j)); it is a linear isometry of the matrix space, and it only
+    permutes the entries, so the result keeps m's denominator.
     """
-    if m.n != sigma.n:
-        raise ValueError(f"dimension mismatch: {m.n} vs {sigma.n}")
-    entries = {}
-    for (k, l) in pair_indices(m.n):
-        v = m.get(sigma(k), sigma(l))
-        if v != 0:
-            entries[(k, l)] = v
-    return SymZMat(m.n, entries)
+    n = m.n
+    if n != sigma.n:
+        raise ValueError(f"dimension mismatch: {n} vs {sigma.n}")
+    s = sigma.images
+    ints = m.ints
+    moved = [
+        ints[pair_index(n, s[k], s[l]) if s[k] < s[l] else pair_index(n, s[l], s[k])]
+        for k in range(n)
+        for l in range(k + 1, n)
+    ]
+    return SymZMat.of_ints(n, moved, m.denom)

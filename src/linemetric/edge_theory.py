@@ -154,18 +154,17 @@ class VerifyReport:
 
 
 def _cut_table(d: SymZMat, u: Word):
-    """d scaled to integers, and its cut values against the target u.
+    """d's integer entries, and its cut values against the target u.
 
     Masks read like words: element j is bit n - j, so the word classes are
-    the masks 2^(n-1) .. 2^n - 2 in order.  Returns the nonzero scaled
-    entries as 0-based (k, l, c), cut[S] = denom * D.M(chi^S) for every
-    mask S, denom, the first class other than u's minimising cut, and u's.
+    the masks 2^(n-1) .. 2^n - 2 in order.  Returns the nonzero entries of
+    d.ints as 0-based (k, l, c), cut[S] = d.denom * D.M(chi^S) for every
+    mask S, d.denom, the first class other than u's minimising cut, and u's.
     """
     n = d.n
-    ints, denom = d.scaled_int_upper()
     nz = [
         (k - 1, l - 1, c)
-        for (k, l), c in zip(pair_indices(n), ints)
+        for (k, l), c in zip(pair_indices(n), d.ints)
         if c != 0
     ]
 
@@ -192,7 +191,7 @@ def _cut_table(d: SymZMat, u: Word):
     cut_mask = min(
         (s for s in range(size >> 1, size - 1) if s != target_mask), key=cut.__getitem__
     )
-    return nz, cut, denom, cut_mask, target_mask
+    return nz, cut, d.denom, cut_mask, target_mask
 
 
 def _margins(d: SymZMat, pi: Perm, u: Word):

@@ -17,20 +17,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import Perm, RatLike, SymZMat, Word, inner_product, require_exhaustible
+from .core import Perm, RatLike, SymZMat, Word, inner_product, pair_index, require_exhaustible
 
 
 def embed(x: Sequence[RatLike]) -> SymZMat:
     """M(x): the matrix of pairwise distances |x_k - x_l| on the line."""
-    vals = [Fraction(v) for v in x]
-    n = len(vals)
-    entries = {}
-    for k in range(n):
-        for l in range(k + 1, n):
-            d = abs(vals[k] - vals[l])
-            if d != 0:
-                entries[(k + 1, l + 1)] = d
-    return SymZMat(n, entries)
+    n = len(x)
+    denom = math.lcm(*(v.denominator for v in x))
+    xs = [v.numerator * (denom // v.denominator) for v in x]
+    return SymZMat.of_ints(
+        n, [abs(xs[k] - xs[l]) for k in range(n) for l in range(k + 1, n)], denom
+    )
 
 
 def perm_metric(pi: Perm) -> SymZMat:
@@ -59,37 +56,24 @@ def recover_embedding(m: SymZMat) -> Optional[tuple[Fraction, ...]]:
     embeddable.
     """
     n = m.n
-    x = [Fraction(0)] * n
-    anchor = 0
-    for l in range(2, n + 1):
-        if m.get(1, l) != 0:
-            anchor = l
-            x[l - 1] = m.get(1, l)
-            break
+    ints = m.ints
+    # x_l = +-m[1,l] in units of 1/denom; ints[l - 2] is m[1,l]
+    x = [0] + list(ints[: n - 1])
+    anchor = next((l for l in range(2, n + 1) if ints[l - 2]), 0)
     if anchor:
         xa = x[anchor - 1]
         for l in range(2, n + 1):
-            if l == anchor:
-                continue
-            d = m.get(1, l)
-            if abs(d - xa) == m.get(anchor, l):
-                x[l - 1] = d
-            else:
+            d = x[l - 1]
+            if l != anchor and abs(d - xa) != ints[pair_index(n, min(anchor, l), max(anchor, l))]:
                 x[l - 1] = -d
     # full check; greedy sign choices are sound iff this holds
-    for k in range(1, n + 1):
-        for l in range(k + 1, n + 1):
-            if abs(x[k - 1] - x[l - 1]) != m.get(k, l):
-                return None
-    mean = sum(x) / n
-    x = [v - mean for v in x]
-    for k in range(n):
-        for l in range(k + 1, n):
-            if x[k] != x[l]:
-                if x[k] > x[l]:
-                    x = [-v for v in x]
-                return tuple(x)
-    return tuple(x)  # all coordinates equal, hence the zero vector
+    if embed(x).ints != ints:
+        return None
+    # centre on the mean, and make the first coordinate that differs from
+    # x_1 larger than it
+    total = sum(x)
+    sign = -1 if x[0] > next((v for v in x if v != x[0]), x[0]) else 1
+    return tuple(Fraction(sign * (n * v - total), n * m.denom) for v in x)
 
 
 def separated_membership(m: SymZMat) -> Optional[tuple[Perm, tuple[Fraction, ...]]]:
@@ -236,8 +220,8 @@ def spreading_check(m: SymZMat) -> SpreadingReport:
     Every unit-separated line metric satisfies the strong form; cut metrics
     violate it, which makes the check a usable non-membership filter.
 
-    Each row i is scaled by 4 * lcm(denominators) once, so both bounds are
-    integers and the subset sums fill one table of 2^(n-1) ints, one
+    The matrix is scaled once by 4 * m.denom, so both bounds are integers
+    and each row's subset sums fill one table of 2^(n-1) ints, one
     addition per subset: n 2^(n-1) additions in all, one row table at a
     time.  The scan is exponential, so n above exhaustion_bound() is refused
     with a ValueError.  floor((s+1)^2/4) >= s(s+2)/4, so every weak
@@ -252,13 +236,12 @@ def spreading_check(m: SymZMat) -> SpreadingReport:
     strong, weak = [], []
     strong_rhs = [Fraction((s + 1) ** 2 // 4) for s in range(n)]
     weak_rhs = [Fraction(s * (s + 2), 4) for s in range(n)]
+    scale = 4 * m.denom
+    strong_bound = [(s + 1) ** 2 // 4 * scale for s in range(n)]
+    weak_bound = [s * (s + 2) * m.denom for s in range(n)]
     for i in range(1, n + 1):
-        row = [m.get(i, j) for j in range(1, n + 1) if j != i]
-        scale = 4 * math.lcm(*(v.denominator for v in row))
-        w = [v.numerator * (scale // v.denominator) for v in row]
-        strong_bound = [int(b) * scale for b in strong_rhs]
-        weak_bound = [s * (s + 2) * (scale // 4) for s in range(n)]
-        sums = [0] * (1 << len(row))
+        w = [4 * m.ints[pair_index(n, min(i, j), max(i, j))] for j in range(1, n + 1) if j != i]
+        sums = [0] * (1 << len(w))
         for mask in range(1, len(sums)):
             low = mask & -mask
             total = sums[mask ^ low] + w[low.bit_length() - 1]

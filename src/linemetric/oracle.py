@@ -81,7 +81,7 @@ class OracleVerdict:
 
 
 def _upper(mat: SymZMat) -> list:
-    return [2 * v for v in mat.upper_vector()]
+    return [Fraction(2 * a, mat.denom) for a in mat.ints]
 
 
 def _phase_one(rows: list[list], e: list) -> tuple:

@@ -189,12 +189,23 @@ class TestMaxN:
         code, out, _ = run(capsys, "certify", "9", "--u", "110011001")
         assert code == 0 and out.startswith("pass")
 
-    @pytest.mark.parametrize("value", ["x", "2"])
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "x",
+            "2",
+            # int() reads each of these as 13
+            pytest.param("1_3", id="underscore"),
+            pytest.param("\u0661\u0663", id="arabic-indic-digits"),
+            pytest.param("+13", id="sign"),
+            pytest.param(" 13 ", id="spaces"),
+        ],
+    )
     def test_bad_value_is_a_usage_error(self, capsys, monkeypatch, value):
         monkeypatch.setenv("LINEMETRIC_MAX_N", value)
         code, out, err = run(capsys, "certify", "5", "--u", "11001")
         assert code == 64 and out == ""
-        assert err.count("\n") == 1 and "LINEMETRIC_MAX_N must be an integer" in err
+        assert err == f"usage error: LINEMETRIC_MAX_N must be an integer >= 3, got {value!r}\n"
 
     def test_bad_value_is_reported_for_a_non_edge(self, capsys, monkeypatch):
         # 10100 is a non-edge: classification alone answers it, no bound is read
@@ -369,6 +380,28 @@ class TestCheckMetric:
         assert code == 0 and out.startswith("E_201: yes") and calls == [201]
 
 
+class TestOversizedMatrixFile:
+    # a matrix holds all n(n-1)/2 entries, so n is refused before it is
+    # built: n = 10^9 would need gigabytes and fail with MemoryError
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["check-metric"], "too large: n=1000000000 exceeds the metric bound 200"),
+            (["check-metric", "--spreading"], "too large: n=1000000000 exceeds the exhaustion bound 12"),
+            (["certify", "4", "--u", "1001"], "dimension mismatch: matrix 1000000000 vs pair 4"),
+        ],
+        ids=["check-metric", "spreading", "verify-only"],
+    )
+    def test_refused_before_it_is_built(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.delenv("LINEMETRIC_MAX_N", raising=False)
+        path = tmp_path / "m.json"
+        path.write_text('{"n": 1000000000, "entries": []}')
+        flag = "--verify-only" if argv[0] == "certify" else "--matrix"
+        code, out, err = run(capsys, *argv, flag, str(path))
+        assert code == 64 and out == ""
+        assert err.count("\n") == 1 and err.startswith(f"usage error: {message}")
+
+
 class TestUnreadableInput:
     # a matrix file that does not parse to a matrix, or a certificate path
     # that cannot be written, is one usage-error line, never a traceback
@@ -507,7 +540,33 @@ class TestUsage:
             (["certify", "4", "--u", "12"], "not a 0/1 word: '12'"),
             (["certify", "4", "--u", "0000"], "word 0000 must be proper and nonempty"),
             (["certify", "4", "--pi", "1,1,2,3", "--u", "1001"], "not a bijection of [4]: (1, 1, 2, 3)"),
-            (["edges", "4", "--at", "x"], "invalid literal for int() with base 10: 'x'"),
+            pytest.param(
+                ["edges", "4", "--at", "x"],
+                "permutation 'x': 'x' is not a decimal integer",
+                id="letter",
+            ),
+            # int() reads each of these parts as a number, or '' as an error
+            # that does not name the permutation
+            pytest.param(
+                ["certify", "4", "--u", "1001", "--pi", "\u0661,2,3,4"],
+                "permutation '\u0661,2,3,4': '\u0661' is not a decimal integer",
+                id="arabic-indic-digit",
+            ),
+            pytest.param(
+                ["certify", "4", "--u", "1001", "--pi", "1,2,3,4,"],
+                "permutation '1,2,3,4,': '' is not a decimal integer",
+                id="trailing-comma",
+            ),
+            pytest.param(
+                ["edges", "4", "--at", "1, 2,3,4"],
+                "permutation '1, 2,3,4': ' 2' is not a decimal integer",
+                id="space",
+            ),
+            pytest.param(
+                ["edges", "4", "--at", "+1,2,3,0_4"],
+                "permutation '+1,2,3,0_4': '+1' is not a decimal integer",
+                id="sign",
+            ),
         ],
     )
     def test_bad_word_or_permutation(self, capsys, argv, message):

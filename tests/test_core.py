@@ -7,7 +7,9 @@ Claims covered:
     - word structure (slopes, hills, valleys, alternating) reads off the runs
     - text and JSON forms round-trip exactly; matrix JSON indices are integers
       and values are rational strings or integers, never floats
-    - the integer upper triangle is the matrix times the lcm of its denominators
+    - every matrix is one tuple of ints over one positive denominator in
+      lowest terms, whichever operation built it, so equal matrices have
+      equal fields
 """
 
 import itertools
@@ -25,9 +27,11 @@ from linemetric import (
     SymZMat,
     Word,
     conjugate,
+    LiftPlan,
     embed,
     format_rat,
     inner_product,
+    lift,
     parse_rat,
     perm_metric,
 )
@@ -222,11 +226,17 @@ class TestSymZMat:
         assert (b - a).get(1, 2) == 1
         assert b.scale(Fraction(1, 2)).get(2, 3) == Fraction(1, 2)
 
-    def test_scaled_int_upper(self):
+    def test_one_denominator_in_lowest_terms(self):
         m = SymZMat(3, {(1, 2): Fraction(1, 2), (1, 3): Fraction(2, 3)})
-        ints, denom = m.scaled_int_upper()
-        assert denom == 6
-        assert ints == [3, 4, 0]
+        assert (m.ints, m.denom) == ((3, 4, 0), 6)
+        assert (m.scale(6).ints, m.scale(6).denom) == ((3, 4, 0), 1)
+        assert (SymZMat.zero(3).ints, SymZMat.zero(3).denom) == ((0, 0, 0), 1)
+
+    def test_equal_however_built(self):
+        halves = SymZMat(3, {(1, 2): Fraction(2, 4), (2, 3): 1})
+        assert halves == SymZMat(3, {(1, 2): Fraction(1, 2), (2, 3): 1})
+        assert hash(halves) == hash(SymZMat(3, {(1, 2): Fraction(1, 2), (2, 3): 1}))
+        assert SymZMat.of_ints(3, [2, 0, 4], 4) == halves
 
 
 class TestInnerProduct:
@@ -319,13 +329,47 @@ def test_property_json_roundtrip(m):
     assert SymZMat.from_json(json.loads(json.dumps(m.to_json()))) == m
 
 
+def assert_lowest_terms(m):
+    assert type(m.denom) is int and m.denom > 0
+    assert len(m.ints) == m.n * (m.n - 1) // 2
+    assert all(type(a) is int for a in m.ints)
+    assert math.gcd(m.denom, *m.ints) == 1
+    for i, (k, l) in enumerate(pair_indices(m.n)):
+        assert m.get(k, l) == m.get(l, k) == Fraction(m.ints[i], m.denom)
+
+
+scalars = st.fractions(min_value=-6, max_value=6, max_denominator=8)
+
+
 @settings(max_examples=150, deadline=None)
-@given(sym_matrices())
-@example(SymZMat(4, {(1, 2): Fraction(-3, 4), (1, 3): Fraction(5, 6), (2, 4): 7}))
-def test_property_scaled_int_upper(m):
-    ints, denom = m.scaled_int_upper()
-    vec = m.upper_vector()
-    assert denom == math.lcm(*(v.denominator for v in vec))
-    assert len(ints) == len(vec)
-    for i, v in zip(ints, vec):
-        assert type(i) is int and i == v * denom
+@given(sym_matrices(), st.data())
+def test_property_representation(m, data):
+    assert_lowest_terms(m)
+    assert_lowest_terms(SymZMat.from_json(m.to_json()))
+    other = draw_like(data, m)
+    c = data.draw(scalars)
+    sigma = Perm(data.draw(st.permutations(range(1, m.n + 1))))
+    total, diff, scaled, moved = m + other, m - other, m.scale(c), conjugate(m, sigma)
+    for result in (total, diff, scaled, moved):
+        assert_lowest_terms(result)
+    for k, l in pair_indices(m.n):
+        assert total.get(k, l) == m.get(k, l) + other.get(k, l)
+        assert diff.get(k, l) == m.get(k, l) - other.get(k, l)
+        assert scaled.get(k, l) == c * m.get(k, l)
+        assert moved.get(k, l) == m.get(sigma(k), sigma(l))
+    assert total - other == m and hash(total - other) == hash(m)
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=m.n, max_size=m.n))
+    plan = LiftPlan(
+        Word(bits),
+        data.draw(st.integers(1, m.n)),
+        data.draw(st.integers(0, 3)),
+        data.draw(st.fractions(min_value=1, max_value=8, max_denominator=4)),
+        data.draw(st.fractions(min_value=Fraction(1, 8), max_value=4, max_denominator=8)),
+        data.draw(st.booleans()),
+    )
+    assert_lowest_terms(lift(m, plan))
+
+
+def draw_like(data, m):
+    values = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    return SymZMat(m.n, {pair: data.draw(values) for pair in pair_indices(m.n)})

@@ -19,6 +19,7 @@ import pytest
 from linemetric import (
     HalfLinePair,
     Perm,
+    SymZMat,
     Word,
     classify,
     cut_metric,
@@ -95,7 +96,7 @@ class TestVerdicts:
             weight += y
             total = total + cut_metric(w).scale(y)
         assert weight == 1
-        assert all(val == 0 for val in total.entries.values())
+        assert total == SymZMat.zero(pair.n)
 
 
 class TestAgreement:

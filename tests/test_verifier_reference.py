@@ -23,6 +23,7 @@ Claims covered:
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -61,7 +62,11 @@ def margins_reference(d, pi, u):
     order.
     """
     n = d.n
-    ints, denom = d.scaled_int_upper()
+    # clear denominators here, from the public entries, so that the
+    # reference shares no arithmetic with the library's representation
+    vec = [d.get(k, l) for (k, l) in pair_indices(n)]
+    denom = math.lcm(*(v.denominator for v in vec))
+    ints = [v.numerator * (denom // v.denominator) for v in vec]
     nz = [(k - 1, l - 1, c) for (k, l), c in zip(pair_indices(n), ints) if c != 0]
 
     def value(point):
