@@ -25,12 +25,15 @@ from .core import (
     Perm,
     SymZMat,
     Word,
+    _is_decimal,
     exhaustion_bound,
     format_rat,
     pair_indices,
     parse_matrix_json,
+    perm_classes,
     raised_bound,
     require_exhaustible,
+    word_classes,
 )
 from .edge_theory import (
     HalfLinePair,
@@ -70,6 +73,13 @@ def _reading_input():
 def metric_bound() -> int:
     """Largest n check-metric analyses without --spreading; LINEMETRIC_MAX_N may raise it."""
     return raised_bound(DEFAULT_METRIC_BOUND)
+
+
+def _positional_n(text: str) -> int:
+    """The positional N, in ASCII digits only, as for --pi and LINEMETRIC_MAX_N."""
+    if not _is_decimal(text):
+        raise argparse.ArgumentTypeError(f"N must be a decimal integer, got {text!r}")
+    return int(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -284,8 +294,6 @@ def cmd_check_metric(args) -> int:
 
 
 def _canonical_pairs(n: int):
-    from .core import perm_classes, word_classes
-
     for pi in perm_classes(n):
         for u in word_classes(n):
             yield HalfLinePair(pi, u)
@@ -318,8 +326,6 @@ def cmd_crosscheck(args) -> int:
         ok = ok and agree == total
 
     if run_full:
-        from .core import word_classes
-
         pi = Perm.identity(n)
         certified = witnessed = edges = nonedges = 0
         for u in word_classes(n):
@@ -358,14 +364,14 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("edges", help="enumerate unbounded edge words at a vertex")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_positional_n)
     p.add_argument("--at", help="vertex permutation, e.g. 1,3,2 (default identity)")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_edges)
 
     p = sub.add_parser("certify", help="synthesize or verify an edge certificate")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_positional_n)
     p.add_argument("--pi", help="vertex permutation (default identity)")
     p.add_argument("--u", required=True, help="cut word, e.g. 1001")
     p.add_argument("--emit", help="write the certificate JSON here")
@@ -386,7 +392,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_check_metric)
 
     p = sub.add_parser("crosscheck", help="classifier-vs-oracle and synthesis sweeps")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_positional_n)
     p.add_argument("--oracle", action="store_true", help="oracle agreement sweep")
     p.add_argument("--full", action="store_true", help="synthesize-and-verify sweep")
     p.add_argument("--json", action="store_true")

@@ -11,9 +11,11 @@ Certificates are checked at the pair's own vertex pi, exhaustively
 against all of S(n) and all proper subsets, in exact integer arithmetic
 after clearing denominators.  Every permutation metric is a sum of cut
 metrics along the chain of its prefix sets, so the minimum over S(n) is a
-shortest chain in the subset lattice and costs O(2^n n) instead of n!/2
-evaluations; the minimising permutation is re-evaluated directly before it
-is reported.  Two inequality systems are supported:
+shortest chain in the subset lattice.  One O(2^n n) table of shortest
+chains from the empty set, read from both ends since a cut and its
+complement have the same value, replaces n!/2 evaluations; the minimising
+permutation is re-evaluated directly before it is reported.  Two
+inequality systems are supported:
 
   plain:   D.M(sigma) >  D.M(pi) off the pair of pi,
            D.M(chi^U') >  0      off the target class,
@@ -197,13 +199,14 @@ def _cut_table(d: SymZMat, u: Word):
 def _margins(d: SymZMat, pi: Perm, u: Word):
     """Exact extremal inner products of d against all permutations and cuts.
 
-    On _cut_table's cut values, a permutation sigma is the chain of its
-    prefix sets S_t = sigma^-1([t]), with D.M(sigma) = sum_t cut[S_t].  The
-    minimum over all chains but pi's and its antipode's is then a
-    shortest-chain problem in the subset lattice, solved exactly by keeping
-    the three best chains into every subset: at most two of the three best
-    full chains are excluded.  The base of the permutation margins is
-    D.M(pi).
+    On _cut_table's cut values, sigma is the chain of its prefix sets
+    S_t = sigma^-1([t]), with D.M(sigma) = sum_t cut[S_t], and best[S] is
+    the shortest chain from the empty set to S.  As cut[T] == cut[[n]-T],
+    the shortest full chain through S is best[S] + best[[n]-S] - cut[S].
+    pi's chain runs through P_t = pi^-1([t]), its antipode's through [n]-P_t;
+    for 0 < t < n-1 neither chain's set of size t lies inside the other's of
+    size t+1, so every other chain runs through a set off both: the least
+    sum over those sets is exact.  D.M(pi) is the base.
     """
     n = d.n
     nz, cut, denom, cut_mask, target_mask = _cut_table(d, u)
@@ -215,38 +218,35 @@ def _margins(d: SymZMat, pi: Perm, u: Word):
             total += c * (a if a >= 0 else -a)
         return 2 * total
 
-    # best[S]: the three best chains from the empty set to S, as
-    # (value, last bit added, rank of the chain into S minus that bit)
-    size = len(cut)
-    best = [[(0, 0, 0)]] + [None] * (size - 1)
-    for s in range(1, size):
-        cands = []
-        r = s
+    full = len(cut) - 1
+    best = [0] * len(cut)  # best[S] = cut[S] + min_j best[S-j]
+    for s in range(1, len(cut)):
+        r = s & (s - 1)
+        m = best[r]
         while r:
             low = r & -r
             r ^= low
-            for rank, entry in enumerate(best[s ^ low]):
-                cands.append((entry[0], low, rank))
-        cands.sort()
-        c = cut[s]
-        best[s] = [(v + c, low, rank) for v, low, rank in cands[:3]]
+            if best[s ^ low] < m:
+                m = best[s ^ low]
+        best[s] = cut[s] + m
 
-    vertex = pi.images
-    antipode = pi.antipode().images
-    base = value(vertex)
-    full = size - 1
-    for top, (total, _, _) in enumerate(best[full]):
-        images = [0] * n
-        s, rank = full, top
-        for t in range(n, 0, -1):
-            _, low, rank = best[s][rank]
-            images[n - low.bit_length()] = t
-            s ^= low
-        sigma = tuple(images)
-        if sigma != vertex and sigma != antipode:
-            break
+    chain, prefix = set(), 0
+    for j in pi.inverse().images:
+        prefix |= 1 << (n - j)
+        chain.update((prefix, full ^ prefix))
+    # a set without element 1 (bit n-1) stands for its complement too
+    total, s = min(
+        (best[s] + best[full ^ s] - cut[s], s) for s in range(1, 1 << (n - 1)) if s not in chain
+    )
+    images = [0] * n  # walked back from S and from [n]-S; element j is bit n-j
+    k = bin(s).count("1")
+    for s, steps in ((s, range(k, 0, -1)), (full ^ s, range(k + 1, n + 1))):
+        for t in steps:
+            i = next(i for i in range(n) if s >> i & 1 and best[s ^ 1 << i] + cut[s] == best[s])
+            images[n - 1 - i], s = t, s ^ 1 << i
+    base = value(pi.images)
     perm_min = total - base
-    perm_arg = Perm(sigma).canonical()
+    perm_arg = Perm(images).canonical()
     if value(perm_arg.images) - base != perm_min:
         raise AssertionError(f"chain minimum {perm_min} is not attained by {perm_arg}")
     return (

@@ -574,6 +574,26 @@ class TestUsage:
         assert code == 64 and out == ""
         assert err == f"usage error: {message}\n"
 
+    # int() reads each of these as a number: 4, 4, 10 and 5
+    @pytest.mark.parametrize(
+        "token",
+        ["+4", "\u0664", "1_0", " 5"],
+        ids=["sign", "arabic-indic-digit", "underscore", "space"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["edges", "N", "--count-only"],
+            ["certify", "N", "--u", "1001"],
+            ["crosscheck", "N", "--full"],
+        ],
+        ids=["edges", "certify", "crosscheck"],
+    )
+    def test_positional_n_is_ascii_decimal(self, capsys, argv, token):
+        code, out, err = run(capsys, *[token if a == "N" else a for a in argv])
+        assert code == 64 and out == ""
+        assert err == f"usage error: argument n: N must be a decimal integer, got {token!r}\n"
+
 
 class TestParserReuse:
     def test_parser_is_built_once(self):

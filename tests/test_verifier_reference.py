@@ -1,14 +1,16 @@
 """The subset-chain verifier against the brute-force permutation scan.
 
-The verifier's margins come from a shortest-chain computation over the
-subset lattice, at the pair's own vertex pi.  The first reference below is
-the direct definition: it scans all n!/2 antipodal classes of permutations
-and all cut classes.  Every margin and cut_argmin must agree exactly;
-perm_argmin may name another permutation on ties, so it is checked to be
-canonical, off the pair of pi, and to attain perm_min when evaluated on
-its own.  The second reference is the relabeling to the identity vertex:
-verifying conjugate(D, pi^-1) for (id, pi(U)) must give the same verdict
-and margins under both conditions.
+The verifier's margins come from one table of shortest chains over the
+subset lattice, at the pair's own vertex pi: the best full chain through
+each set off the chains of pi and its antipode, read from both ends of
+the table since a cut and its complement have the same value.  The first
+reference below is the direct definition: it scans all n!/2 antipodal
+classes of permutations and all cut classes.  Every margin and cut_argmin
+must agree exactly; perm_argmin may name another permutation on ties, so
+it is checked to be canonical, off the pair of pi, and to attain perm_min
+when evaluated on its own.  The second reference is the relabeling to the
+identity vertex: verifying conjugate(D, pi^-1) for (id, pi(U)) must give
+the same verdict and margins under both conditions.
 
 Claims covered:
     - exact agreement on the library matrices and the strict alternating bases
@@ -20,6 +22,9 @@ Claims covered:
       random small matrices and vertices by property testing
     - agreement with the relabeled identity-vertex verification on the
       random vertices
+    - above the default bound of 12: one synthesized word at n = 13 or 14
+      per dispatch family passes, agrees with its relabeling at two seeded
+      vertices, and its negation fails on a permutation attaining perm_min
 """
 
 import itertools
@@ -27,6 +32,7 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -220,3 +226,34 @@ def test_property_small_n_any_vertex(data):
     u = data.draw(st.sampled_from(list(word_classes(n))))
     assert_agrees(d, pi, u)
     assert_agrees_with_relabeling(d, pi, u)
+
+
+# one word at n = 13 or 14 per dispatch family, with its first construction step
+HIGH_N_WORDS = {
+    "11111110000000": "face:prefix=7",
+    "1000001111111": "base:C_1001",
+    "11100000001111": "base:C_11011",
+    "1101111000000": "base:C_10110",
+    "10000010000000": "base:C_10010",
+    "10101010101011": "base:alternating-induction,n=13",
+}
+
+
+@pytest.mark.parametrize("text", list(HIGH_N_WORDS))
+def test_dispatch_families_above_the_default_bound(monkeypatch, text):
+    monkeypatch.setenv("LINEMETRIC_MAX_N", "14")
+    u = Word.parse(text)
+    n = u.n
+    pair = HalfLinePair(Perm.identity(n), u)
+    cert = synthesize(pair)
+    assert cert.report.passed and cert.construction[0] == HIGH_N_WORDS[text]
+    rnd = random.Random(text)
+    for _ in range(2):
+        pi = Perm(rnd.sample(range(1, n + 1), n))
+        v = Word.from_set(n, pi.preimage_of_set(u.elements))
+        assert_agrees_with_relabeling(conjugate(cert.matrix, pi), pi, v)
+    neg = cert.matrix.scale(-1)
+    rep = verify_certificate(neg, pair, cert.condition)
+    assert not rep.passed and rep.offender.startswith(f"permutation {rep.perm_argmin}: ")
+    base = inner_product(neg, perm_metric(pair.pi))
+    assert inner_product(neg, perm_metric(rep.perm_argmin)) - base == rep.perm_min < 0
