@@ -235,12 +235,12 @@ def _margins(d: SymZMat, pi: Perm, u: Word):
         prefix |= 1 << (n - j)
         chain.update((prefix, full ^ prefix))
     # a set without element 1 (bit n-1) stands for its complement too
-    total, s = min(
+    total, top = min(
         (best[s] + best[full ^ s] - cut[s], s) for s in range(1, 1 << (n - 1)) if s not in chain
     )
     images = [0] * n  # walked back from S and from [n]-S; element j is bit n-j
-    k = bin(s).count("1")
-    for s, steps in ((s, range(k, 0, -1)), (full ^ s, range(k + 1, n + 1))):
+    k = bin(top).count("1")
+    for s, steps in ((top, range(k, 0, -1)), (full ^ top, range(k + 1, n + 1))):
         for t in steps:
             i = next(i for i in range(n) if s >> i & 1 and best[s ^ 1 << i] + cut[s] == best[s])
             images[n - 1 - i], s = t, s ^ 1 << i
