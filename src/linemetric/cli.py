@@ -6,8 +6,12 @@ or LINEMETRIC_MAX_N), 70 internal error (a failed internal consistency
 check, such as a synthesized certificate that does not verify, or a
 ValueError raised inside the library rather than by an input check).
 Errors print one line on stderr, never a traceback.  All numeric output
-is exact rational text; JSON mode wraps results in a run report with the
-command echo and library version.
+is exact rational text.
+
+Each command returns its exit code, results and output lines, and prints
+nothing; main alone checks N against the exhaustion bound, times the
+command and prints the lines, or with --json a run report that wraps the
+results with the command echo, timing and library version.
 """
 
 from __future__ import annotations
@@ -18,18 +22,19 @@ import functools
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .core import (
     Perm,
     SymZMat,
     Word,
-    _is_decimal,
+    _decimal,
+    _quote,
     exhaustion_bound,
     format_rat,
     pair_indices,
     parse_matrix_json,
+    parse_rat,
     perm_classes,
     raised_bound,
     require_exhaustible,
@@ -38,7 +43,6 @@ from .core import (
 from .edge_theory import (
     HalfLinePair,
     classify,
-    enumerate_edges_at,
     non_edge_witness,
     verify_certificate,
 )
@@ -77,9 +81,10 @@ def metric_bound() -> int:
 
 def _positional_n(text: str) -> int:
     """The positional N, in ASCII digits only, as for --pi and LINEMETRIC_MAX_N."""
-    if not _is_decimal(text):
-        raise argparse.ArgumentTypeError(f"N must be a decimal integer, got {text!r}")
-    return int(text)
+    n = _decimal(text)
+    if n is None:
+        raise argparse.ArgumentTypeError(f"N must be a decimal integer, got {_quote(text)}")
+    return n
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,53 +92,26 @@ class _Parser(argparse.ArgumentParser):
         raise _Usage(message)
 
 
-def _report(args: argparse.Namespace, results, started: float) -> dict:
-    inputs = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
-    inputs.pop("json", None)
-    return {
-        "command": inputs.pop("command"),
-        "inputs": inputs,
-        "results": results,
-        "timing_ms": int((time.perf_counter() - started) * 1000),
-        "version": __version__,
-    }
-
-
-def _emit(args, results, started: float, lines):
-    if args.json:
-        print(json.dumps(_report(args, results, started), indent=2))
-    else:
-        for line in lines:
-            print(line)
-
-
-def cmd_edges(args) -> int:
-    started = time.perf_counter()
+def cmd_edges(args) -> tuple[int, dict, list[str]]:
     n = args.n
-    if not 3 <= n <= exhaustion_bound():
-        raise _Usage(f"n must be between 3 and {exhaustion_bound()}")
     with _reading_input():
         pi = Perm.parse(args.at) if args.at else Perm.identity(n)
     if pi.n != n:
         raise _Usage(f"permutation {args.at} does not have length {n}")
-    edges = enumerate_edges_at(pi)
-    verdicts = [classify(HalfLinePair(pi, u)) for u in edges]
+    verdicts = [v for v in (classify(HalfLinePair(pi, u)) for u in word_classes(n)) if v.is_edge]
     formula = 2 ** (n - 1) - n if n >= 4 else None
     results = {
         "at": str(pi),
-        "edges": [{"u": str(u), "reason": v.reason} for u, v in zip(edges, verdicts)],
-        "count": len(edges),
+        "edges": [{"u": str(v.pair.u), "reason": v.reason} for v in verdicts],
+        "count": len(verdicts),
         "formula": formula,
     }
     if args.count_only:
-        line = f"{len(edges)} (formula: {formula})" if formula is not None else f"{len(edges)}"
-        lines = [line]
+        lines = [f"{len(verdicts)}" + (f" (formula: {formula})" if formula is not None else "")]
     else:
-        lines = [f"{u} ({v.reason})" for u, v in zip(edges, verdicts)]
-    _emit(args, results, started, lines)
-    if formula is not None and len(edges) != formula:
-        return EXIT_VERIFY_FAIL
-    return EXIT_OK
+        lines = [f"{v.pair.u} ({v.reason})" for v in verdicts]
+    ok = formula is None or len(verdicts) == formula
+    return EXIT_OK if ok else EXIT_VERIFY_FAIL, results, lines
 
 
 def _load_matrix(path: str, check_n) -> tuple[SymZMat, str | None]:
@@ -155,11 +133,8 @@ def _load_matrix(path: str, check_n) -> tuple[SymZMat, str | None]:
         raise _Usage(f"cannot read matrix file {path}: {exc}")
 
 
-def cmd_certify(args) -> int:
-    started = time.perf_counter()
+def cmd_certify(args) -> tuple[int, dict, list[str]]:
     n = args.n
-    if not 3 <= n <= exhaustion_bound():
-        raise _Usage(f"n must be between 3 and {exhaustion_bound()}")
     with _reading_input():
         pi = Perm.parse(args.pi) if args.pi else Perm.identity(n)
         u = Word.parse(args.u)
@@ -190,35 +165,25 @@ def cmd_certify(args) -> int:
         ]
         if report.offender:
             lines.append(f"offender: {report.offender}")
-        _emit(args, results, started, lines)
-        return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
+        return EXIT_OK if report.passed else EXIT_VERIFY_FAIL, results, lines
 
     try:
         cert = synthesize(pair)
     except NonEdgeError as exc:
-        w = exc.witness
-        results = {"non_edge": w.to_json()}
-        _emit(
-            args,
-            results,
-            started,
-            [
-                f"not an edge: {w.word_used} is over the ridge (k={w.k})",
-                w.to_json()["identity"],
-            ],
-        )
-        return EXIT_NON_EDGE
+        w = exc.witness.to_json()
+        lines = [f"not an edge: {w['word_used']} is over the ridge (k={w['k']})", w["identity"]]
+        return EXIT_NON_EDGE, {"non_edge": w}, lines
     except RuntimeError as exc:
-        _emit(args, {"error": str(exc)}, started, [f"synthesis failed: {exc}"])
-        return EXIT_VERIFY_FAIL
+        return EXIT_VERIFY_FAIL, {"error": str(exc)}, [f"synthesis failed: {exc}"]
+    cert_json = cert.to_json()
     if args.emit:
         try:
             with open(args.emit, "w") as fh:
-                json.dump(cert.to_json(), fh, indent=2)
+                json.dump(cert_json, fh, indent=2)
         except OSError as exc:
             raise _Usage(f"cannot write certificate file {args.emit}: {exc}")
     r = cert.report
-    results = {**verdict.to_json(), "margins": r.margins_json(), "certificate": cert.to_json()}
+    results = {**verdict.to_json(), "margins": r.margins_json(), "certificate": cert_json}
     lines = [
         f"pass ({cert.condition} condition)",
         f"margins: perm_min={format_rat(r.perm_min)} "
@@ -227,13 +192,10 @@ def cmd_certify(args) -> int:
     ]
     if args.emit:
         lines.append(f"certificate written to {args.emit}")
-    _emit(args, results, started, lines)
-    return EXIT_OK
+    return EXIT_OK, results, lines
 
 
-def cmd_check_metric(args) -> int:
-    started = time.perf_counter()
-
+def cmd_check_metric(args) -> tuple[int, dict, list[str]]:
     def check_n(n):
         if args.spreading:
             with _reading_input():
@@ -246,14 +208,13 @@ def cmd_check_metric(args) -> int:
 
     mat, _ = _load_matrix(args.matrix, check_n)
     if args.scale != "1":
-        with _reading_input():
-            try:
-                eps = Fraction(args.scale)
-            except ZeroDivisionError:
-                eps = Fraction(0)
+        try:
+            eps = parse_rat(args.scale)
+        except (ValueError, ZeroDivisionError):
+            eps = 0
         if eps <= 0:
             raise _Usage("--scale must be a positive rational")
-        mat = mat.scale(Fraction(1) / eps)
+        mat = mat.scale(1 / eps)
     n = mat.n
     info = analyze_metric(mat)
     results: dict = {"n": n, "line_embeddable": info.embeddable, "separated": info.separated}
@@ -289,23 +250,13 @@ def cmd_check_metric(args) -> int:
         slack = qn_facet_value(mat)
         results["facet_slack"] = format_rat(slack)
         lines.append(f"facet slack: {format_rat(slack)}")
-    _emit(args, results, started, lines)
-    return EXIT_OK
+    return EXIT_OK, results, lines
 
 
-def _canonical_pairs(n: int):
-    for pi in perm_classes(n):
-        for u in word_classes(n):
-            yield HalfLinePair(pi, u)
-
-
-def cmd_crosscheck(args) -> int:
-    started = time.perf_counter()
+def cmd_crosscheck(args) -> tuple[int, dict, list[str]]:
     n = args.n
     run_oracle = args.oracle or not args.full
     run_full = args.full or not args.oracle
-    if not 3 <= n <= exhaustion_bound():
-        raise _Usage(f"n must be between 3 and {exhaustion_bound()}")
     if run_oracle and n > oracle_bound():
         raise _Usage(f"oracle sweep needs n <= {oracle_bound()} (set LINEMETRIC_MAX_N)")
     results: dict = {}
@@ -315,7 +266,7 @@ def cmd_crosscheck(args) -> int:
     if run_oracle:
         total = agree = 0
         disagreements = []
-        for pair in _canonical_pairs(n):
+        for pair in (HalfLinePair(pi, u) for pi in perm_classes(n) for u in word_classes(n)):
             total += 1
             if classify(pair).is_edge == oracle_classify(pair).is_edge:
                 agree += 1
@@ -351,8 +302,7 @@ def cmd_crosscheck(args) -> int:
         ok = ok and certified == edges and witnessed == nonedges
 
     lines.append("result: " + ("PASS" if ok else "FAIL"))
-    _emit(args, results, started, lines)
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
+    return EXIT_OK if ok else EXIT_VERIFY_FAIL, results, lines
 
 
 @functools.cache
@@ -405,15 +355,33 @@ def main(argv=None) -> int:
     one process: the parser is built on the first call and reused."""
     try:
         args = build_parser().parse_args(argv)
+        # a malformed LINEMETRIC_MAX_N is a usage error for every command
         with _reading_input():
-            exhaustion_bound()  # a malformed LINEMETRIC_MAX_N is a usage error for every command
-        return args.func(args)
+            bound = exhaustion_bound()
+        if "n" in args and not 3 <= args.n <= bound:
+            raise _Usage(f"n must be between 3 and {bound}")
+        started = time.perf_counter()
+        code, results, lines = args.func(args)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (AssertionError, ValueError) as exc:
         print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_SOFTWARE
+    if args.json:
+        inputs = {k: v for k, v in vars(args).items() if v is not None}
+        del inputs["func"], inputs["json"]
+        report = {
+            "command": inputs.pop("command"),
+            "inputs": inputs,
+            "results": results,
+            "timing_ms": int((time.perf_counter() - started) * 1000),
+            "version": __version__,
+        }
+        print(json.dumps(report, indent=2))
+    else:
+        print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ import itertools
 import math
 import operator
 import os
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -30,14 +31,29 @@ def raised_bound(default: int) -> int:
     env = os.environ.get("LINEMETRIC_MAX_N")
     if not env:
         return default
-    if not _is_decimal(env) or int(env) < 3:
-        raise ValueError(f"LINEMETRIC_MAX_N must be an integer >= 3, got {env!r}")
-    return max(default, int(env))
+    value = _decimal(env)
+    if value is None or value < 3:
+        raise ValueError(f"LINEMETRIC_MAX_N must be an integer >= 3, got {_quote(env)}")
+    return max(default, value)
 
 
-def _is_decimal(text: str) -> bool:
-    """Only ASCII digits: int() would also take other scripts' digits, '_', signs and spaces."""
-    return text.isascii() and text.isdigit()
+def _decimal(text: str) -> Optional[int]:
+    """The int written in ASCII digits only, or None.  int() would also take
+    other scripts' digits, '_', signs and spaces, and refuses a string of
+    more digits than its limit with an error that does not name the input."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+def _quote(text: str) -> str:
+    """repr(text) for an error message, cut after 40 characters."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def exhaustion_bound() -> int:
@@ -55,9 +71,20 @@ def require_exhaustible(n: int) -> None:
         )
 
 
+_RATIONAL = re.compile(r"\s*([-+]?)([0-9]+)(?:/([0-9]+))?\s*")
+
+
 def parse_rat(text: str) -> Fraction:
-    """Parse 'p/q' or 'p' into an exact rational."""
-    return Fraction(text.strip())
+    """Parse 'p/q' or 'p' into an exact rational: an optional sign, ASCII
+    digits, and optionally '/' and ASCII digits.  Fraction() would also take
+    exponents, which it expands digit by digit ('1e-3000000' takes seconds),
+    decimal points, '_' and other scripts' digits."""
+    match = _RATIONAL.fullmatch(text)
+    num = match and _decimal(match[2])
+    den = match and _decimal(match[3] or "1")
+    if num is None or den is None:
+        raise ValueError(f"not a rational p/q: {_quote(text)}")
+    return Fraction(-num if match[1] == "-" else num, den)
 
 
 def format_rat(q: RatLike) -> str:
@@ -102,10 +129,11 @@ class Perm:
     def parse(cls, text: str) -> "Perm":
         """Parse the comma-separated text form, e.g. '1,3,2', of ASCII decimal parts."""
         parts = text.split(",")
-        for part in parts:
-            if not _is_decimal(part):
-                raise ValueError(f"permutation {text!r}: {part!r} is not a decimal integer")
-        return cls(map(int, parts))
+        images = [_decimal(part) for part in parts]
+        if None in images:
+            bad = _quote(parts[images.index(None)])
+            raise ValueError(f"permutation {_quote(text)}: {bad} is not a decimal integer")
+        return cls(images)
 
     @property
     def n(self) -> int:

@@ -595,6 +595,50 @@ class TestUsage:
         assert err == f"usage error: argument n: N must be a decimal integer, got {token!r}\n"
 
 
+class TestLongTokens:
+    # int() refuses more than 4300 digits with an error that names neither
+    # the input nor the option; each site keeps its own message, and cuts
+    # the token after 40 characters
+    LONG = "9" * 5000
+
+    def check(self, code, out, err, name):
+        assert code == 64 and out == ""
+        assert err.count("\n") == 1 and err.startswith("usage error: ")
+        assert name in err and "_positional_n" not in err
+        assert "(5000 characters)" in err and len(err) < 200
+
+    def test_positional_n(self, capsys):
+        self.check(*run(capsys, "edges", self.LONG), "N must be a decimal integer")
+
+    def test_permutation(self, capsys):
+        argv = ["certify", "4", "--u", "1001", "--pi", f"1,2,3,{self.LONG}"]
+        self.check(*run(capsys, *argv), "permutation")
+
+    def test_max_n(self, capsys, monkeypatch):
+        monkeypatch.setenv("LINEMETRIC_MAX_N", self.LONG)
+        self.check(*run(capsys, "edges", "4"), "LINEMETRIC_MAX_N must be an integer")
+
+
+class TestRationalGrammar:
+    # entry values and --scale are p/q or p in ASCII digits; Fraction() also
+    # takes exponents, and expanding 1e-3000000 alone takes seconds
+    @pytest.mark.parametrize("value", ["1e-3000000", "1.5", "1_0", "\u0661"])
+    def test_entry_value(self, capsys, tmp_path, value):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": 2, "entries": [[1, 2, value]]}))
+        code, out, err = run(capsys, "check-metric", "--matrix", str(path))
+        assert code == 64 and out == ""
+        assert err == (
+            f"usage error: cannot read matrix file {path}: not a rational p/q: {value!r}\n"
+        )
+
+    def test_scale(self, capsys, tmp_path):
+        path = write_matrix(tmp_path / "m.json", perm_metric(Perm.identity(3)))
+        code, out, err = run(capsys, "check-metric", "--matrix", path, "--scale", "1e3000000")
+        assert code == 64 and out == ""
+        assert err == "usage error: --scale must be a positive rational\n"
+
+
 class TestParserReuse:
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()

@@ -55,6 +55,25 @@ class TestRatText:
         assert format_rat(Fraction(3, 4)) == "3/4"
         assert format_rat(Fraction(-8, 2)) == "-4"
 
+    def test_parse_reads_what_format_writes(self):
+        for q in (Fraction(-3, 4), Fraction(22, 7), Fraction(0), Fraction(-5)):
+            assert parse_rat(str(q)) == parse_rat(format_rat(q)) == q
+        assert parse_rat(" +6/4\n") == Fraction(3, 2)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e-3", "1.5", "1_0", "\u0661", "1 / 2", "/2", "1/", "--1", "", "inf"]
+        + [pytest.param("9" * 5000, id="5000-digits")],
+    )
+    def test_parse_refuses_other_forms(self, text):
+        # Fraction() takes each of the first four; '1e-3000000' takes it seconds
+        with pytest.raises(ValueError, match="not a rational p/q"):
+            parse_rat(text)
+
+    def test_zero_denominator(self):
+        with pytest.raises(ZeroDivisionError, match=r"Fraction\(1, 0\)"):
+            parse_rat("1/0")
+
 
 class TestPerm:
     def test_parse_str_roundtrip(self):
