@@ -49,11 +49,11 @@ def _decimal(text: str) -> Optional[int]:
         return None
 
 
-def _quote(text: str) -> str:
-    """repr(text) for an error message, cut after 40 characters."""
+def _quote(text: str, show=repr) -> str:
+    """show(text) for an error message, cut after 40 characters."""
     if len(text) <= 40:
-        return repr(text)
-    return f"{text[:40]!r}... ({len(text)} characters)"
+        return show(text)
+    return f"{show(text[:40])}... ({len(text)} characters)"
 
 
 def exhaustion_bound() -> int:
@@ -87,6 +87,15 @@ def parse_rat(text: str) -> Fraction:
     return Fraction(-num if match[1] == "-" else num, den)
 
 
+def subset_sums(weights: Iterable[int]) -> list[int]:
+    """sums[mask] = the sum of weights[t] over the bits t of mask, for every
+    mask below 2^len(weights); each weight doubles the list, one step a sum."""
+    sums = [0]
+    for x in weights:
+        sums += [t + x for t in sums]
+    return sums
+
+
 def format_rat(q: RatLike) -> str:
     """Render an exact rational as 'p/q', or 'p' when the denominator is 1."""
     if q.denominator == 1:
@@ -115,7 +124,7 @@ class Perm:
         if n < 1:
             raise ValueError("permutation needs length >= 1")
         if sorted(images) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection of [{n}]: {images}")
+            raise ValueError(f"not a bijection of [{n}]: {_quote(str(images), str)}")
         object.__setattr__(self, "images", images)
 
     def __setattr__(self, *a):

@@ -39,6 +39,7 @@ from .core import (
     format_rat,
     pair_indices,
     require_exhaustible,
+    subset_sums,
     word_classes,
 )
 from .line_metrics import cut_metric, perm_metric
@@ -162,6 +163,9 @@ def _cut_table(d: SymZMat, u: Word):
     the masks 2^(n-1) .. 2^n - 2 in order.  Returns the nonzero entries of
     d.ints as 0-based (k, l, c), cut[S] = d.denom * D.M(chi^S) for every
     mask S, d.denom, the first class other than u's minimising cut, and u's.
+    The table grows bit by bit: for S below bit i, with w the weights in bit
+    order, cut[S + bit i] = cut[S] + 2 sum_b w[i][b] - 4 sum_{b in S} w[i][b],
+    as i's edges into S stop crossing; one core.subset_sums table per row.
     """
     n = d.n
     nz = [
@@ -170,26 +174,16 @@ def _cut_table(d: SymZMat, u: Word):
         if c != 0
     ]
 
-    # cut[S] = 2 * (weight crossing S); by inclusion-exclusion over the two
-    # lowest bits a, b of S it is cut[S-a] + cut[S-b] - cut[S-a-b] - 4 d[a,b]
-    size = 1 << n
     weight = [[0] * n for _ in range(n)]
     for k0, l0, c in nz:
         weight[n - 1 - k0][n - 1 - l0] = weight[n - 1 - l0][n - 1 - k0] = c
-    cut = [0] * size
-    for s in range(1, size):
-        a = s & -s
-        rest = s ^ a
-        if not rest:
-            cut[s] = 2 * sum(weight[a.bit_length() - 1])
-            continue
-        b = rest & -rest
-        cut[s] = (
-            cut[rest] + cut[s ^ b] - cut[rest ^ b]
-            - 4 * weight[a.bit_length() - 1][b.bit_length() - 1]
-        )
+    cut = [0]
+    for i, row in enumerate(weight):
+        base = 2 * sum(row)
+        cut += [c + base - 4 * t for c, t in zip(cut, subset_sums(row[:i]))]
 
     target_mask = int(str(u.canonical()), 2)
+    size = len(cut)
     cut_mask = min(
         (s for s in range(size >> 1, size - 1) if s != target_mask), key=cut.__getitem__
     )

@@ -11,13 +11,18 @@ and evaluate the two families of valid inequalities used downstream
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import Perm, RatLike, SymZMat, Word, inner_product, pair_index, require_exhaustible
+from .core import (
+    Perm, RatLike, SymZMat, Word, inner_product, pair_index, require_exhaustible, subset_sums
+)
 
 
 def embed(x: Sequence[RatLike]) -> SymZMat:
@@ -145,38 +150,43 @@ class SpreadingViolation:
 
 
 class _Violations(Sequence):
-    """Read-only view of packed (i, mask, total, scale) violations.
+    """Read-only view of violations kept per row as (i, masks, sums).
 
-    len() builds nothing; reading an item builds just that SpreadingViolation:
-    bit t of mask is the t-th index of [n] other than i, lhs = total/scale,
-    and rhs = bounds[|S|].  It compares and hashes like the tuple of its
-    records, and + concatenates to a tuple.
+    masks lists row i's violating masks in ascending order and sums is the
+    row's table of scaled subset sums; item k is found by bisecting the
+    cumulative row lengths.  len() builds nothing; reading an item builds
+    just that SpreadingViolation: bit t of mask is the t-th index of [n]
+    other than i, lhs = sums[mask]/scale and rhs = bounds[|S|]/scale.  It
+    compares and hashes like the tuple of its records, and + concatenates
+    to a tuple.
     """
 
-    __slots__ = ("_packed", "_bounds")
+    __slots__ = ("_rows", "_ends", "_bounds", "_scale")
 
-    def __init__(self, packed: list, bounds: list):
-        self._packed = packed
+    def __init__(self, rows: list, bounds: list, scale: int):
+        self._rows = rows
+        self._ends = list(itertools.accumulate((len(r[1]) for r in rows), initial=0))
         self._bounds = bounds
+        self._scale = scale
 
-    def _record(self, packed: tuple) -> SpreadingViolation:
-        i, mask, total, scale = packed
-        subset = frozenset(
-            t + 1 + (t + 1 >= i) for t in range(mask.bit_length()) if mask >> t & 1
-        )
-        rhs = self._bounds[mask.bit_count()]
-        return SpreadingViolation(i, subset, Fraction(total, scale), rhs)
+    def _at(self, k: int) -> SpreadingViolation:
+        r = bisect.bisect_right(self._ends, k) - 1
+        i, masks, sums = self._rows[r]
+        mask = masks[k - self._ends[r]]
+        subset = frozenset(t + 1 + (t + 1 >= i) for t in range(mask.bit_length()) if mask >> t & 1)
+        lhs, rhs = sums[mask], self._bounds[mask.bit_count()]
+        return SpreadingViolation(i, subset, Fraction(lhs, self._scale), Fraction(rhs, self._scale))
 
     def __len__(self) -> int:
-        return len(self._packed)
+        return self._ends[-1]
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return tuple(map(self._record, self._packed[k]))
-        return self._record(self._packed[k])
+            return tuple(map(self._at, range(len(self))[k]))
+        return self._at(range(len(self))[k])
 
     def __iter__(self):
-        return map(self._record, self._packed)
+        return map(self._at, range(len(self)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (tuple, _Violations)):
@@ -206,8 +216,9 @@ class SpreadingReport:
     weak the coarser s(s+2)/4 bound.
 
     Each field is a read-only sequence that equals the tuple of its
-    SpreadingViolation records; a record is built only when it is read, so
-    len() and the first violation cost nothing per violation.
+    SpreadingViolation records.  It keeps each violating row's masks and
+    subset-sum table and builds a record only when it is read, so len() and
+    the first violation cost nothing per violation.
     """
 
     strong: Sequence[SpreadingViolation]
@@ -220,39 +231,40 @@ def spreading_check(m: SymZMat) -> SpreadingReport:
     Every unit-separated line metric satisfies the strong form; cut metrics
     violate it, which makes the check a usable non-membership filter.
 
-    The matrix is scaled once by 4 * m.denom, so both bounds are integers
-    and each row's subset sums fill one table of 2^(n-1) ints, one
-    addition per subset: n 2^(n-1) additions in all, one row table at a
-    time.  The scan is exponential, so n above exhaustion_bound() is refused
-    with a ValueError.  floor((s+1)^2/4) >= s(s+2)/4, so every weak
-    violation is also a strong one and the weak bound is only tested on
-    strong violators.  A violation is kept as one packed tuple of ints,
-    shared by both lists; the report builds records from them on access.
-    Violations come in order of i, then of the subset's bit mask over the
-    other indices in ascending order.
+    The matrix is scaled once by 4 * m.denom, so both bounds are integers.
+    The least sum over the row's subsets of size s is the sum of its s
+    smallest entries, so a row whose sorted prefix sums all meet the strong
+    bound has no violation and is cleared in O(n log n); every separated
+    row is.  Any other row fills one table of its 2^(n-1) subset sums
+    (core.subset_sums) and keeps the masks below per-mask bound tables.
+    The scan is exponential, so n above exhaustion_bound() is refused with a
+    ValueError.  floor((s+1)^2/4) >= s(s+2)/4, so every weak violation is
+    also a strong one.  Both fields keep (i, masks, sums) per scanned row,
+    sharing its table, and build records on access.  Violations come in
+    order of i, then of the subset's bit mask over the other indices in
+    ascending order.
     """
     n = m.n
     require_exhaustible(n)
-    strong, weak = [], []
-    strong_rhs = [Fraction((s + 1) ** 2 // 4) for s in range(n)]
-    weak_rhs = [Fraction(s * (s + 2), 4) for s in range(n)]
     scale = 4 * m.denom
     strong_bound = [(s + 1) ** 2 // 4 * scale for s in range(n)]
     weak_bound = [s * (s + 2) * m.denom for s in range(n)]
+    tables = []
     for i in range(1, n + 1):
         w = [4 * m.ints[pair_index(n, min(i, j), max(i, j))] for j in range(1, n + 1) if j != i]
-        sums = [0] * (1 << len(w))
-        for mask in range(1, len(sums)):
-            low = mask & -mask
-            total = sums[mask ^ low] + w[low.bit_length() - 1]
-            sums[mask] = total
-            s = mask.bit_count()
-            if total < strong_bound[s]:
-                packed = (i, mask, total, scale)
-                strong.append(packed)
-                if total < weak_bound[s]:
-                    weak.append(packed)
-    return SpreadingReport(_Violations(strong, strong_rhs), _Violations(weak, weak_rhs))
+        if not all(map(operator.ge, itertools.accumulate(sorted(w)), strong_bound[1:])):
+            tables.append((i, subset_sums(w)))
+    sizes = subset_sums([1] * (n - 1)) if tables else []
+    masks = list(range(len(sizes)))  # one int object per mask, shared by every row
+    fields = []
+    for bound in (strong_bound, weak_bound):
+        per_mask = [bound[s] for s in sizes]
+        rows = [
+            (i, list(itertools.compress(masks, map(operator.lt, sums, per_mask))), sums)
+            for i, sums in tables
+        ]
+        fields.append(_Violations(rows, bound, scale))
+    return SpreadingReport(*fields)
 
 
 def qn_facet_value(m: SymZMat) -> Fraction:

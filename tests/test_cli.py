@@ -618,6 +618,14 @@ class TestLongTokens:
         monkeypatch.setenv("LINEMETRIC_MAX_N", self.LONG)
         self.check(*run(capsys, "edges", "4"), "LINEMETRIC_MAX_N must be an integer")
 
+    def test_permutation_image(self, capsys):
+        # 4000 digits pass int(); the image tuple that is not a bijection is cut
+        argv = ["certify", "4", "--u", "1001", "--pi", "1,2,3," + "9" * 4000]
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == "" and err.count("\n") == 1
+        assert err.startswith("usage error: not a bijection of [4]: (1, 2, 3, 9999")
+        assert err.endswith("9... (4011 characters)\n") and len(err.encode()) < 200
+
 
 class TestRationalGrammar:
     # entry values and --scale are p/q or p in ASCII digits; Fraction() also

@@ -2,7 +2,8 @@
 
 Claims covered:
     - inner product is the full ordered-pair trace form (twice the upper dot)
-    - conjugation realizes relabeling: conjugate(M(x), sigma) = M(x o sigma)
+    - conjugation realizes relabeling: conjugate(M(x), sigma) = M(x o sigma),
+      and is an isometry of the inner product, by property testing too
     - antipode is an involution and leaves the embedded metric unchanged
     - word structure (slopes, hills, valleys, alternating) reads off the runs
     - text and JSON forms round-trip exactly; matrix JSON indices are integers
@@ -346,6 +347,14 @@ def sym_matrices(draw):
 def test_property_json_roundtrip(m):
     assert SymZMat.from_json(m.to_json()) == m
     assert SymZMat.from_json(json.loads(json.dumps(m.to_json()))) == m
+
+
+@settings(max_examples=150, deadline=None)
+@given(sym_matrices(), st.data())
+def test_property_conjugation_is_an_isometry(a, data):
+    b = draw_like(data, a)
+    sigma = Perm(data.draw(st.permutations(range(1, a.n + 1))))
+    assert inner_product(conjugate(a, sigma), conjugate(b, sigma)) == inner_product(a, b)
 
 
 def assert_lowest_terms(m):

@@ -7,6 +7,8 @@ Claims covered:
     - non-edge verdicts carry a vanishing conic combination, and for the
       simplest ridge word it is exactly the known two-term identity
     - verdicts are identical with and without relabeling to the identity
+    - classify and the oracle give one verdict on all four name variants of
+      a pair (antipode, complement), by property testing for n <= 5
     - positive scaling preserves witness feasibility (homogeneity)
     - the size bound is enforced
 """
@@ -15,6 +17,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linemetric import (
     HalfLinePair,
@@ -120,6 +124,20 @@ class TestAgreement:
             direct, *_ = _decide_at_vertex(pair.pi, pair.u)
             assert direct == oracle_classify(pair).is_edge
             assert direct == classify(pair).is_edge
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_property_name_variants_agree(data):
+    n = data.draw(st.integers(3, 5))
+    pi = Perm(data.draw(st.permutations(range(1, n + 1))))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(lambda b: 0 < sum(b) < n)
+    u = Word(data.draw(bits))
+    verdicts = {
+        (classify(pair).is_edge, oracle_classify(pair).is_edge)
+        for pair in (HalfLinePair(p, w) for p in (pi, pi.antipode()) for w in (u, u.complement()))
+    }
+    assert len(verdicts) == 1 and len(set(verdicts.pop())) == 1
 
 
 class TestLargerInstances:

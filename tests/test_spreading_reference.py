@@ -5,17 +5,21 @@ subset, sums its Fraction entries and compares against both bounds.  The
 fast path must return an equal SpreadingReport - the same violations, in
 the same order, with the same field types - on every metric tried here.
 Its fields are views that build records on access; they must read like the
-reference's tuples however they are read.
+reference's tuples however they are read.  A row whose sorted prefix sums
+meet every strong bound is cleared without a table; that screen is exact,
+so a row fills its subset-sum table exactly when it has a strong violation,
+and rows whose prefix sums land on the bound itself are cleared.
 """
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linemetric import SymZMat, embed
+from linemetric import SymZMat, embed, line_metrics
 from linemetric.line_metrics import SpreadingReport, SpreadingViolation, spreading_check
 
 KINDS = ("separated", "embedded", "cut", "perturbed")
@@ -53,6 +57,17 @@ def assert_same(m: SymZMat) -> SpreadingReport:
     assert fast == slow
     assert _types(fast) <= {(int, frozenset, Fraction, Fraction)}
     return fast
+
+
+def assert_screen_exact(m: SymZMat) -> SpreadingReport:
+    """assert_same, and the row screen clears exactly the rows without a strong
+    violation: each scanned row fills one subset-sum table, and one more call
+    builds the per-mask size table when any row is scanned."""
+    with mock.patch.object(line_metrics, "subset_sums", wraps=line_metrics.subset_sums) as spy:
+        rep = assert_same(m)
+    violated = {v.i for v in rep.strong}
+    assert spy.call_count == (len(violated) + 1 if violated else 0)
+    return rep
 
 
 def seeded_metric(rnd: random.Random, n: int, kind: str) -> SymZMat:
@@ -145,6 +160,17 @@ class TestAgreement:
                 assert fast.strong + fast.weak == slow.strong + slow.weak
                 assert hash(fast) == hash(slow)
 
+    def test_screen_clears_rows_on_the_bound(self):
+        # unit gaps put the middle rows' sorted prefix sums exactly on
+        # floor((s+1)^2/4); lowering m[1,2] to 1/2 leaves rows 1 and 2 to scan
+        m = embed(range(7)) + SymZMat(7, {(1, 2): Fraction(-1, 2)})
+        row4 = sorted(m.get(4, j) for j in range(1, 8) if j != 4)
+        prefix = [sum(row4[:s]) for s in range(1, 7)]
+        assert prefix == [(s + 1) ** 2 // 4 for s in range(1, 7)]
+        rep = assert_screen_exact(m)
+        assert {v.i for v in rep.strong} == {1, 2}
+        assert assert_screen_exact(embed(range(7))).strong == ()
+
     def test_weak_violations_are_strong_ones(self):
         rep = assert_same(embed([0, Fraction(1, 2), 1, Fraction(3, 2), 2, 4]))
         assert rep.weak
@@ -161,6 +187,23 @@ def matrices(draw):
     pairs = [(k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
     values = draw(st.lists(entry, min_size=len(pairs), max_size=len(pairs)))
     return SymZMat(n, dict(zip(pairs, values)))
+
+
+# sorted prefix sums of these entries land on floor((s+1)^2/4) often
+on_bound = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), 2, 3])
+
+
+@st.composite
+def bound_matrices(draw):
+    """Entries from on_bound, or the unit-gap line metric, whose middle rows
+    meet every bound with equality, with some entries replaced by them."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    pairs = [(k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
+    if draw(st.booleans()):
+        return SymZMat(n, {pair: draw(on_bound) for pair in pairs})
+    line = embed(range(n))
+    moved = draw(st.lists(st.sampled_from(pairs), max_size=3, unique=True))
+    return SymZMat(n, {(k, l): line.get(k, l) for k, l in pairs} | {p: draw(on_bound) for p in moved})
 
 
 @st.composite
@@ -181,6 +224,12 @@ def separated_points(draw):
 @given(matrices())
 def test_property_agrees_with_reference(m):
     assert_same(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bound_matrices())
+def test_property_screen_boundary(m):
+    assert_screen_exact(m)
 
 
 @settings(max_examples=150, deadline=None)

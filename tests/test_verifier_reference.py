@@ -25,6 +25,10 @@ Claims covered:
     - above the default bound of 12: one synthesized word at n = 13 or 14
       per dispatch family passes, agrees with its relabeling at two seeded
       vertices, and its negation fails on a permutation attaining perm_min
+    - the cut table the margins are read from: cut[S] = denom * D.M(chi^S)
+      from the public inner product on every mask at n = 3..9 and on sampled
+      masks at n = 15 and 16, with its target and minimising class; and the
+      alternating induction certificate passes at n = 15 and 16
 """
 
 import itertools
@@ -46,6 +50,7 @@ from linemetric import (
     base_certificate,
     conjugate,
     cut_metric,
+    induct_alternating,
     inner_product,
     perm_metric,
     plain_alternating_base,
@@ -55,7 +60,7 @@ from linemetric import (
     word_classes,
 )
 from linemetric.core import pair_indices
-from linemetric.edge_theory import _margins
+from linemetric.edge_theory import _cut_table, _margins
 from test_acceptance import DISPATCH_BRANCH_WORDS
 
 
@@ -257,3 +262,54 @@ def test_dispatch_families_above_the_default_bound(monkeypatch, text):
     assert not rep.passed and rep.offender.startswith(f"permutation {rep.perm_argmin}: ")
     base = inner_product(neg, perm_metric(pair.pi))
     assert inner_product(neg, perm_metric(rep.perm_argmin)) - base == rep.perm_min < 0
+
+
+def cut_value(d, mask):
+    """d.denom * D.M(chi^S) from the public inner product; element j is bit n - j."""
+    word = format(mask, f"0{d.n}b")
+    if "0" not in word or "1" not in word:
+        return 0
+    return d.denom * inner_product(d, cut_metric(Word.parse(word)))
+
+
+def assert_cut_table(d, u, masks):
+    """_cut_table's values on masks, and its target, against the definition."""
+    n = d.n
+    _, cut, denom, cut_mask, target_mask = _cut_table(d, u)
+    assert len(cut) == 1 << n and denom == d.denom
+    for s in masks:
+        assert cut[s] == cut_value(d, s)
+    assert format(target_mask, f"0{n}b") == str(u.canonical())
+    assert cut_mask != target_mask and cut[cut_mask] == cut_value(d, cut_mask)
+    return cut, cut_mask
+
+
+def test_cut_table_every_mask():
+    rnd = random.Random(2030)
+    for n in range(3, 10):
+        words = list(word_classes(n))
+        for i in range(4):
+            values = (-1, 0, 1) if i % 2 else range(-6, 7)
+            d = random_matrix(rnd, n, values, (1,) if i % 2 else (1, 2, 3, 5))
+            u = rnd.choice(words)
+            u = u.complement() if i > 1 else u
+            cut, cut_mask = assert_cut_table(d, u, range(1 << n))
+            # the first minimising class other than u's, in word_classes order
+            others = [w for w in words if w != u.canonical()]
+            values = [cut_value(d, int(str(w), 2)) for w in others]
+            assert format(cut_mask, f"0{n}b") == str(others[values.index(min(values))])
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_cut_table_and_alternating_certificate_above_the_bound(monkeypatch, n):
+    monkeypatch.setenv("LINEMETRIC_MAX_N", str(n))
+    rnd = random.Random(n)
+    u = Word.parse(("10" * n)[:n])
+    masks = [0, (1 << n) - 1, *rnd.sample(range(1 << n), 300)]
+    # classes contain element 1, bit n - 1; the target's class is left out
+    classes = [s for s in masks if 1 << (n - 1) <= s < (1 << n) - 1 and s != int(str(u), 2)]
+    for d in (induct_alternating(n), random_matrix(rnd, n, range(-6, 7), (1, 2, 3))):
+        cut, cut_mask = assert_cut_table(d, u, masks)
+        assert all(cut[cut_mask] <= cut[s] for s in classes)
+    rep = verify_certificate(induct_alternating(n), HalfLinePair(Perm.identity(n), u), "plain")
+    assert rep.passed and rep.target == 0
