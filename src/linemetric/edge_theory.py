@@ -174,6 +174,7 @@ def _cut_table(d: SymZMat, u: Word):
         if c != 0
     ]
 
+    size = 1 << n
     weight = [[0] * n for _ in range(n)]
     for k0, l0, c in nz:
         weight[n - 1 - k0][n - 1 - l0] = weight[n - 1 - l0][n - 1 - k0] = c
@@ -183,7 +184,6 @@ def _cut_table(d: SymZMat, u: Word):
         cut += [c + base - 4 * t for c, t in zip(cut, subset_sums(row[:i]))]
 
     target_mask = int(str(u.canonical()), 2)
-    size = len(cut)
     cut_mask = min(
         (s for s in range(size >> 1, size - 1) if s != target_mask), key=cut.__getitem__
     )

@@ -203,7 +203,7 @@ def bound_matrices(draw):
         return SymZMat(n, {pair: draw(on_bound) for pair in pairs})
     line = embed(range(n))
     moved = draw(st.lists(st.sampled_from(pairs), max_size=3, unique=True))
-    return SymZMat(n, {(k, l): line.get(k, l) for k, l in pairs} | {p: draw(on_bound) for p in moved})
+    return SymZMat(n, {p: draw(on_bound) if p in moved else line.get(*p) for p in pairs})
 
 
 @st.composite
