@@ -43,6 +43,7 @@ from .core import (
 from .edge_theory import (
     HalfLinePair,
     classify,
+    enumerate_edges_at,
     non_edge_witness,
     verify_certificate,
 )
@@ -98,7 +99,7 @@ def cmd_edges(args) -> tuple[int, dict, list[str]]:
         pi = Perm.parse(args.at) if args.at else Perm.identity(n)
     if pi.n != n:
         raise _Usage(f"permutation {args.at} does not have length {n}")
-    verdicts = [v for v in (classify(HalfLinePair(pi, u)) for u in word_classes(n)) if v.is_edge]
+    verdicts = enumerate_edges_at(pi)
     formula = 2 ** (n - 1) - n if n >= 4 else None
     results = {
         "at": str(pi),
@@ -149,9 +150,10 @@ def cmd_certify(args) -> tuple[int, dict, list[str]]:
                 raise _Usage(f"dimension mismatch: matrix {size} vs pair {n}")
 
         mat, condition = _load_matrix(args.verify_only, check_n)
-        if condition and condition not in _CONDITIONS:
+        # only a missing or null condition tries both systems
+        if condition is not None and condition not in _CONDITIONS:
             raise _Usage(f"unknown condition {condition!r}")
-        conditions = [condition] if condition else _CONDITIONS
+        conditions = _CONDITIONS if condition is None else [condition]
         report = None
         for cond in conditions:
             report = verify_certificate(mat, pair, cond)

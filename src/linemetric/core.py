@@ -400,6 +400,22 @@ class SymZMat:
     def rows(self) -> list[list[Fraction]]:
         return [[self.get(k, l) for l in range(1, self.n + 1)] for k in range(1, self.n + 1)]
 
+    def square(self) -> list[list[int]]:
+        """The dense n x n rows of ints: entry (k, l) times denom at [k-1][l-1].
+
+        Row k is column k of the rows above it, a zero, then its own slice of
+        ints, which pair_indices order keeps contiguous.
+        """
+        rows, start = [], 0
+        for k in range(self.n):
+            stop = start + self.n - 1 - k
+            row = [r[k] for r in rows]
+            row.append(0)
+            row += self.ints[start:stop]
+            rows.append(row)
+            start = stop
+        return rows
+
     def __add__(self, other: "SymZMat") -> "SymZMat":
         if self.n != other.n:
             raise ValueError("dimension mismatch")

@@ -106,13 +106,13 @@ def classify(pair: HalfLinePair) -> EdgeVerdict:
     return EdgeVerdict(pair, True, "certified")
 
 
-def enumerate_edges_at(pi: Perm) -> list[Word]:
-    """Canonical edge words at the vertex of pi; 2^(n-1) - n of them for n >= 4."""
+def enumerate_edges_at(pi: Perm) -> list[EdgeVerdict]:
+    """The edges at the vertex of pi: the verdicts of the canonical edge words,
+    in word_classes order, one classify per class; 2^(n-1) - n for n >= 4."""
     if pi.n < 3:
         raise ValueError("edge enumeration needs n >= 3")
-    return [
-        u for u in word_classes(pi.n) if classify(HalfLinePair(pi, u)).is_edge
-    ]
+    verdicts = (classify(HalfLinePair(pi, u)) for u in word_classes(pi.n))
+    return [v for v in verdicts if v.is_edge]
 
 
 @dataclass(frozen=True)
@@ -163,8 +163,9 @@ def _cut_table(d: SymZMat, u: Word):
     the masks 2^(n-1) .. 2^n - 2 in order.  Returns the nonzero entries of
     d.ints as 0-based (k, l, c), cut[S] = d.denom * D.M(chi^S) for every
     mask S, d.denom, the first class other than u's minimising cut, and u's.
-    The table grows bit by bit: for S below bit i, with w the weights in bit
-    order, cut[S + bit i] = cut[S] + 2 sum_b w[i][b] - 4 sum_{b in S} w[i][b],
+    The table grows bit by bit: for S below bit i, with w = d.square() in
+    bit order (both axes reversed),
+    cut[S + bit i] = cut[S] + 2 sum_b w[i][b] - 4 sum_{b in S} w[i][b],
     as i's edges into S stop crossing; one core.subset_sums table per row.
     """
     n = d.n
@@ -175,9 +176,7 @@ def _cut_table(d: SymZMat, u: Word):
     ]
 
     size = 1 << n
-    weight = [[0] * n for _ in range(n)]
-    for k0, l0, c in nz:
-        weight[n - 1 - k0][n - 1 - l0] = weight[n - 1 - l0][n - 1 - k0] = c
+    weight = [row[::-1] for row in reversed(d.square())]
     cut = [0]
     for i, row in enumerate(weight):
         base = 2 * sum(row)

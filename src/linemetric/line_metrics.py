@@ -12,6 +12,7 @@ and evaluate the two families of valid inequalities used downstream
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import operator
@@ -21,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
-    Perm, RatLike, SymZMat, Word, inner_product, pair_index, require_exhaustible, subset_sums
+    Perm, RatLike, SymZMat, Word, inner_product, require_exhaustible, subset_sums
 )
 
 
@@ -61,18 +62,15 @@ def recover_embedding(m: SymZMat) -> Optional[tuple[Fraction, ...]]:
     embeddable.
     """
     n = m.n
-    ints = m.ints
-    # x_l = +-m[1,l] in units of 1/denom; ints[l - 2] is m[1,l]
-    x = [0] + list(ints[: n - 1])
-    anchor = next((l for l in range(2, n + 1) if ints[l - 2]), 0)
+    square = m.square()
+    # x_l = +-m[1,l] in units of 1/denom; anchor is the first l with m[1,l] != 0
+    x = square[0]
+    anchor = next((l for l, d in enumerate(x) if d), 0)
     if anchor:
-        xa = x[anchor - 1]
-        for l in range(2, n + 1):
-            d = x[l - 1]
-            if l != anchor and abs(d - xa) != ints[pair_index(n, min(anchor, l), max(anchor, l))]:
-                x[l - 1] = -d
+        xa = x[anchor]
+        x = [d if abs(d - xa) == c else -d for d, c in zip(x, square[anchor])]
     # full check; greedy sign choices are sound iff this holds
-    if embed(x).ints != ints:
+    if embed(x).ints != m.ints:
         return None
     # centre on the mean, and make the first coordinate that differs from
     # x_1 larger than it
@@ -150,26 +148,27 @@ class SpreadingViolation:
 
 
 class _Violations(Sequence):
-    """Read-only view of violations kept per row as (i, masks, sums).
+    """Read-only sequence of the violations kept per row as (i, masks, sums).
 
     masks lists row i's violating masks in ascending order and sums is the
-    row's table of scaled subset sums; item k is found by bisecting the
-    cumulative row lengths.  len() builds nothing; reading an item builds
-    just that SpreadingViolation: bit t of mask is the t-th index of [n]
-    other than i, lhs = sums[mask]/scale and rhs = bounds[|S|]/scale.  It
-    compares and hashes like the tuple of its records, and + concatenates
-    to a tuple.
+    row's table of scaled subset sums.  len() builds nothing; item k, an int
+    (negative ones count from the end), is found by bisecting the cumulative
+    row lengths and builds just that SpreadingViolation: bit t of mask is
+    the t-th index of [n] other than i, lhs = sums[mask]/scale and
+    rhs = bounds[|S|]/scale.  Sequence supplies iteration, `in` and bool.
     """
 
     __slots__ = ("_rows", "_ends", "_bounds", "_scale")
 
     def __init__(self, rows: list, bounds: list, scale: int):
-        self._rows = rows
+        self._rows, self._bounds, self._scale = rows, bounds, scale
         self._ends = list(itertools.accumulate((len(r[1]) for r in rows), initial=0))
-        self._bounds = bounds
-        self._scale = scale
 
-    def _at(self, k: int) -> SpreadingViolation:
+    def __len__(self) -> int:
+        return self._ends[-1]
+
+    def __getitem__(self, k: int) -> SpreadingViolation:
+        k = range(len(self))[k]
         r = bisect.bisect_right(self._ends, k) - 1
         i, masks, sums = self._rows[r]
         mask = masks[k - self._ends[r]]
@@ -177,52 +176,34 @@ class _Violations(Sequence):
         lhs, rhs = sums[mask], self._bounds[mask.bit_count()]
         return SpreadingViolation(i, subset, Fraction(lhs, self._scale), Fraction(rhs, self._scale))
 
-    def __len__(self) -> int:
-        return self._ends[-1]
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(map(self._at, range(len(self))[k]))
-        return self._at(range(len(self))[k])
-
-    def __iter__(self):
-        return map(self._at, range(len(self)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (tuple, _Violations)):
-            return NotImplemented
-        return len(self) == len(other) and tuple(self) == tuple(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __add__(self, other) -> tuple:
-        if not isinstance(other, (tuple, _Violations)):
-            return NotImplemented
-        return tuple(self) + tuple(other)
-
-    def __radd__(self, other) -> tuple:
-        if not isinstance(other, tuple):
-            return NotImplemented
-        return other + tuple(self)
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
-@dataclass(frozen=True)
 class SpreadingReport:
-    """Violations of the spreading inequalities; strong uses floor((s+1)^2/4),
-    weak the coarser s(s+2)/4 bound.
+    """Violations of the spreading inequalities: strong below floor((s+1)^2/4),
+    weak below the coarser s(s+2)/4, as _Violations.
 
-    Each field is a read-only sequence that equals the tuple of its
-    SpreadingViolation records.  It keeps each violating row's masks and
-    subset-sum table and builds a record only when it is read, so len() and
-    the first violation cost nothing per violation.
+    It keeps spreading_check's (i, sums) per scanned row, one size table and
+    one list of mask ints shared by every row.  strong is built with the
+    report; weak is computed from the same tables when it is first read.
+    Reports have no value equality; tuple(report.strong) gives the records.
     """
 
-    strong: Sequence[SpreadingViolation]
-    weak: Sequence[SpreadingViolation]
+    def __init__(self, tables: list, bound: list, scale: int):
+        self._tables, self._n, self._scale = tables, len(bound), scale
+        self._sizes = subset_sums([1] * (self._n - 1)) if tables else []
+        self._masks = list(range(len(self._sizes)))  # one int object per mask, shared by every row
+        self.strong = self._select(bound)
+
+    @functools.cached_property
+    def weak(self) -> _Violations:
+        return self._select([s * (s + 2) * self._scale // 4 for s in range(self._n)])
+
+    def _select(self, bound: list) -> _Violations:
+        per_mask = [bound[s] for s in self._sizes]
+        rows = [
+            (i, list(itertools.compress(self._masks, map(operator.lt, sums, per_mask))), sums)
+            for i, sums in self._tables
+        ]
+        return _Violations(rows, bound, self._scale)
 
 
 def spreading_check(m: SymZMat) -> SpreadingReport:
@@ -231,40 +212,27 @@ def spreading_check(m: SymZMat) -> SpreadingReport:
     Every unit-separated line metric satisfies the strong form; cut metrics
     violate it, which makes the check a usable non-membership filter.
 
-    The matrix is scaled once by 4 * m.denom, so both bounds are integers.
-    The least sum over the row's subsets of size s is the sum of its s
-    smallest entries, so a row whose sorted prefix sums all meet the strong
-    bound has no violation and is cleared in O(n log n); every separated
-    row is.  Any other row fills one table of its 2^(n-1) subset sums
-    (core.subset_sums) and keeps the masks below per-mask bound tables.
-    The scan is exponential, so n above exhaustion_bound() is refused with a
-    ValueError.  floor((s+1)^2/4) >= s(s+2)/4, so every weak violation is
-    also a strong one.  Both fields keep (i, masks, sums) per scanned row,
-    sharing its table, and build records on access.  Violations come in
-    order of i, then of the subset's bit mask over the other indices in
-    ascending order.
+    Rows are sliced from m.square() and scaled by 4 * m.denom, so both
+    bounds are integers.  The least sum over a row's subsets of size s is
+    the sum of its s smallest entries, so a row whose sorted prefix sums all
+    meet the strong bound has no violation and is cleared in O(n log n);
+    every separated row is.  Any other row fills one table of its 2^(n-1)
+    subset sums (core.subset_sums) for the report.  The scan is exponential,
+    so n above exhaustion_bound() is refused with a ValueError.  Every weak
+    violation is a strong one, as floor((s+1)^2/4) >= s(s+2)/4; weak is
+    computed on its first read.  Violations come in order of i, then of the
+    subset's bit mask over the other indices in ascending order.
     """
     n = m.n
     require_exhaustible(n)
     scale = 4 * m.denom
-    strong_bound = [(s + 1) ** 2 // 4 * scale for s in range(n)]
-    weak_bound = [s * (s + 2) * m.denom for s in range(n)]
+    bound = [(s + 1) ** 2 // 4 * scale for s in range(n)]
     tables = []
-    for i in range(1, n + 1):
-        w = [4 * m.ints[pair_index(n, min(i, j), max(i, j))] for j in range(1, n + 1) if j != i]
-        if not all(map(operator.ge, itertools.accumulate(sorted(w)), strong_bound[1:])):
+    for i, row in enumerate(m.square(), start=1):
+        w = [4 * c for c in row[: i - 1] + row[i:]]
+        if not all(map(operator.ge, itertools.accumulate(sorted(w)), bound[1:])):
             tables.append((i, subset_sums(w)))
-    sizes = subset_sums([1] * (n - 1)) if tables else []
-    masks = list(range(len(sizes)))  # one int object per mask, shared by every row
-    fields = []
-    for bound in (strong_bound, weak_bound):
-        per_mask = [bound[s] for s in sizes]
-        rows = [
-            (i, list(itertools.compress(masks, map(operator.lt, sums, per_mask))), sums)
-            for i, sums in tables
-        ]
-        fields.append(_Violations(rows, bound, scale))
-    return SpreadingReport(*fields)
+    return SpreadingReport(tables, bound, scale)
 
 
 def qn_facet_value(m: SymZMat) -> Fraction:

@@ -354,7 +354,7 @@ def test_criterion_7_spreading_inequalities():
     for n in range(3, 8):
         for _ in range(1000):
             rep = spreading_check(_random_separated_metric(rnd, n))
-            assert rep.strong == () and rep.weak == ()
+            assert not rep.strong and not rep.weak
             members += 1
     violation = spreading_check(cut_metric(Word.parse("100")))
     bad = [v for v in violation.strong if v.i == 2 and v.subset == frozenset({1, 3})]

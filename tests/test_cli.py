@@ -110,6 +110,16 @@ class TestCertify:
         )
         assert code == 0 and "pass (farkas condition)" in out
 
+    def test_verify_only_null_condition_tries_both(self, capsys, tmp_path):
+        # a null condition reads as a missing one: both systems are tried
+        from linemetric import base_certificate
+
+        path = tmp_path / "alt.json"
+        obj = {"matrix": base_certificate("C_10101").matrix.to_json(), "condition": None}
+        path.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, "certify", "5", "--u", "10101", "--verify-only", str(path))
+        assert code == 0 and "pass (farkas condition)" in out
+
     def test_verify_only_detects_wrong_word(self, capsys, tmp_path):
         out_path = tmp_path / "cert.json"
         run(capsys, "certify", "4", "--u", "1001", "--emit", str(out_path))
@@ -318,6 +328,17 @@ class TestCheckMetric:
             assert code == 0 and "violations" in out
             assert len(built) <= 1
 
+    def test_spreading_never_computes_weak(self, capsys, tmp_path, monkeypatch):
+        # the command prints strong violations only, so weak is never read
+        def refuse(report):
+            raise AssertionError("weak computed")
+
+        monkeypatch.setattr(line_metrics.SpreadingReport, "weak", property(refuse))
+        path = write_matrix(tmp_path / "m.json", cut_metric(Word.parse("10110100101")))
+        for extra in ([], ["--json"]):
+            code, out, err = run(capsys, "check-metric", "--matrix", path, "--spreading", *extra)
+            assert code == 0 and "violations" in out and err == ""
+
     def test_spreading_size_bound(self, capsys, tmp_path, monkeypatch):
         path = write_matrix(tmp_path / "m.json", perm_metric(Perm.identity(13)))
         monkeypatch.delenv("LINEMETRIC_MAX_N", raising=False)
@@ -465,12 +486,17 @@ class TestUnreadableInput:
         )
 
     def test_non_string_condition(self, capsys, tmp_path):
+        # only a missing or null condition tries both systems; a falsy one is refused
         path = tmp_path / "c.json"
-        obj = {"matrix": perm_metric(Perm.identity(4)).to_json(), "condition": [1]}
-        path.write_text(json.dumps(obj))
-        code, out, err = run(capsys, "certify", "4", "--u", "1001", "--verify-only", str(path))
-        assert code == 64 and out == ""
-        assert err == "usage error: unknown condition [1]\n"
+        for condition, shown in (
+            ([1], "[1]"), (0, "0"), (False, "False"), ("", "''"), ([], "[]"), ({}, "{}")
+        ):
+            obj = {"matrix": perm_metric(Perm.identity(4)).to_json(), "condition": condition}
+            path.write_text(json.dumps(obj))
+            argv = ["certify", "4", "--u", "1001", "--verify-only", str(path)]
+            code, out, err = run(capsys, *argv)
+            assert code == 64 and out == ""
+            assert err == f"usage error: unknown condition {shown}\n"
 
     def test_matrix_of_another_size(self, capsys, tmp_path):
         path = write_matrix(tmp_path / "m.json", perm_metric(Perm.identity(5)))

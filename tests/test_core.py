@@ -13,11 +13,13 @@ Claims covered:
       equal fields
 """
 
+import ast
 import itertools
 import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,7 @@ from linemetric import (
     parse_rat,
     perm_metric,
 )
+import linemetric
 from linemetric.core import pair_indices, perm_classes, word_classes
 
 
@@ -401,3 +404,50 @@ def test_property_representation(m, data):
 def draw_like(data, m):
     values = st.fractions(min_value=-20, max_value=20, max_denominator=12)
     return SymZMat(m.n, {pair: data.draw(values) for pair in pair_indices(m.n)})
+
+
+def test_square_rows():
+    rnd = random.Random(17)
+    for n in (1, 2, 5, 9):
+        pairs = pair_indices(n)
+        m = SymZMat(n, {p: Fraction(rnd.randint(-9, 9), rnd.choice([1, 2, 6])) for p in pairs})
+        square = m.square()
+        assert len(square) == n and all(len(row) == n for row in square)
+        assert all(type(a) is int for row in square for a in row)
+        for k in range(1, n + 1):
+            for l in range(1, n + 1):
+                assert Fraction(square[k - 1][l - 1], m.denom) == m.get(k, l)
+
+
+FLOAT_MATH = {"sqrt", "log", "exp", "pow", "fsum"}
+
+
+def float_uses(source: str) -> list[str]:
+    """Float literals, uses of the name float, and math.sqrt/log/exp/pow/fsum
+    calls or imports in source, as 'line: what' strings."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"{node.lineno}: float literal {node.value!r}")
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append(f"{node.lineno}: name float")
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in FLOAT_MATH
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "math"
+        ):
+            found.append(f"{node.lineno}: math.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            names = [a.name for a in node.names if a.name in FLOAT_MATH]
+            found += [f"{node.lineno}: from math import {name}" for name in names]
+    return found
+
+
+def test_no_float_in_source():
+    sources = sorted(Path(linemetric.__file__).parent.glob("*.py"))
+    assert sources
+    found = [f"{path.name}:{use}" for path in sources for use in float_uses(path.read_text())]
+    assert found == []
+    # the guard itself sees each form
+    assert len(float_uses("x = 0.5\ny = float(x)\nz = math.sqrt(2)\nfrom math import fsum")) == 4

@@ -88,10 +88,10 @@ class TestClassify:
 
 class TestEnumerate:
     def test_n3(self):
-        assert [str(u) for u in enumerate_edges_at(Perm.identity(3))] == ["100", "110"]
+        assert [str(v.pair.u) for v in enumerate_edges_at(Perm.identity(3))] == ["100", "110"]
 
     def test_n4_set_and_count(self):
-        words = {str(u) for u in enumerate_edges_at(Perm.identity(4))}
+        words = {str(v.pair.u) for v in enumerate_edges_at(Perm.identity(4))}
         assert words == {"1000", "1100", "1110", "1001"}
 
     def test_counts(self):

@@ -2,7 +2,8 @@
 
 Claims covered:
     - embed is translation invariant and injective up to sign on the hyperplane
-    - recover_embedding inverts embed with the documented sign canonicalization
+    - recover_embedding inverts embed with the documented sign canonicalization,
+      on any point up to centring, by property testing too
     - separated membership detects the disjoint translated cones and nothing else
     - the cone translation identity holds on random points
     - separated metrics satisfy the strong spreading inequalities; cut metrics don't
@@ -14,6 +15,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import linemetric.line_metrics as line_metrics
 from linemetric import (
@@ -123,6 +126,22 @@ class TestRecoverEmbedding:
         got = recover_embedding(embed(x))
         assert got is not None and embed(got) == embed(x)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.fractions(min_value=-20, max_value=20, max_denominator=10),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_property_roundtrip_uncentred(self, x):
+        # any point, not centred: the preimage is x minus its mean, up to sign
+        got = recover_embedding(embed(x))
+        mean = sum(x, Fraction(0)) / len(x)
+        centred = tuple(v - mean for v in x)
+        assert got == centred or got == tuple(-v for v in centred)
+        assert embed(got) == embed(x)
+
 
 class TestSeparatedMembership:
     def test_identity_metric(self):
@@ -192,7 +211,7 @@ class TestConeIdentity:
 class TestSpreading:
     def test_identity_metric_clean(self):
         rep = spreading_check(perm_metric(Perm.identity(3)))
-        assert rep.strong == () and rep.weak == ()
+        assert not rep.strong and not rep.weak
 
     def test_cut_metric_violation(self):
         rep = spreading_check(cut_metric(Word.parse("100")))
@@ -210,8 +229,8 @@ class TestSpreading:
             order = rnd.sample(range(n), n)
             z = [x[order[i]] for i in range(n)]
             rep = spreading_check(embed(z))
-            assert rep.strong == ()
-            assert rep.weak == ()
+            assert not rep.strong
+            assert not rep.weak
 
     def test_size_bound(self, monkeypatch):
         # the scan fills a 2^(n-1) table per row, so it shares the exhaustion bound
@@ -219,7 +238,7 @@ class TestSpreading:
         with pytest.raises(ValueError, match="^too large: n=13 exceeds the exhaustion bound 12 "):
             spreading_check(perm_metric(Perm.identity(13)))
         monkeypatch.setenv("LINEMETRIC_MAX_N", "13")
-        assert spreading_check(perm_metric(Perm.identity(13))).strong == ()
+        assert not spreading_check(perm_metric(Perm.identity(13))).strong
 
     def test_strong_implies_weak_direction(self):
         # floor((s+1)^2/4) >= s(s+2)/4 always; a weak violation is a strong one
