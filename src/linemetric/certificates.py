@@ -8,8 +8,10 @@ words, and the path-matrix construction covers the incident case.  Every
 construction is pure: it builds a matrix and never verifies it.  The
 synthesis pipeline glues them together and is the one place that
 verifies, so it never returns a matrix that has not passed the exhaustive
-verifier.  Its lift search skips a candidate whose cut table already fails
-the system; that screen only rejects, and never stands in for a check.
+verifier.  Its lift search skips a candidate whose value on a cut mask
+that failed an earlier candidate fails the cut relation, and then one whose
+cut table, built once and read again by the verifier, fails the system;
+both screens only reject, and never stand in for a check.
 
 All six library matrices satisfy the mixed (farkas) inequality system
 and none satisfies the strict (plain) one: the two alternating-word
@@ -39,8 +41,11 @@ from .core import (
 from .edge_theory import (
     HalfLinePair,
     NonEdgeWitness,
+    _FAILS,
+    _SYSTEMS,
     VerifyReport,
     _cut_side_failure,
+    _cut_table,
     classify,
     non_edge_witness,
     symmetry_transport,
@@ -202,6 +207,40 @@ def lifted_word(plan: LiftPlan) -> Word:
     return Word(bits[: plan.position] + [sym] * plan.k + bits[plan.position :])
 
 
+def _lift_parts(base_cert: SymZMat, position: int, k: int) -> list[tuple[int, int, int]]:
+    """lift's three int vectors over pair_indices(n + k), for k >= 1, zipped:
+    the heavy path, the +-1 border blocks and the stretched base ints."""
+    n = base_cert.n
+    la = position - 1
+    n2 = n + k
+    heavy, border, stretch = ([0] * (n2 * (n2 - 1) // 2) for _ in range(3))
+    # heavy path on the inserted block: positions la+1 .. la+k+1
+    for i in range(la + 1, la + k + 1):
+        heavy[pair_index(n2, i, i + 1)] = 1
+    # border blocks: first path row couples +1 to the left part and -1 to the
+    # right part, the last path row the other way around
+    first, last = la + 1, la + k + 1
+    for j in range(1, la + 1):
+        border[pair_index(n2, j, first)] = 1
+        border[pair_index(n2, j, last)] = -1
+    for j in range(la + k + 2, n2 + 1):
+        border[pair_index(n2, first, j)] = -1
+        border[pair_index(n2, last, j)] = 1
+    # stretched base certificate
+    for (i, j), v in zip(pair_indices(n), base_cert.ints):
+        if i == position:
+            ni, nj = la + k + 1, j + k
+        elif j == position:
+            ni, nj = i, la + 1
+        else:
+            ni = i if i <= la else i + k
+            nj = j if j <= la else j + k
+        if ni > nj:
+            ni, nj = nj, ni
+        stretch[pair_index(n2, ni, nj)] += v
+    return list(zip(heavy, border, stretch))
+
+
 def lift(base_cert: SymZMat, plan: LiftPlan) -> SymZMat:
     """Lift a certificate across a run expansion: B(omega) + epsilon * stretched.
 
@@ -214,45 +253,15 @@ def lift(base_cert: SymZMat, plan: LiftPlan) -> SymZMat:
         raise ValueError("certificate and word sizes differ")
     if plan.k == 0:
         return base_cert
-    n = base_cert.n
-    k = plan.k
-    la = plan.position - 1
-    n2 = n + k
     omega, eps = plan.omega, plan.epsilon
     # one int per entry over denom; epsilon * base_cert adds stretch * base_cert.ints
     denom = omega.denominator * eps.denominator * base_cert.denom
-    unit = -denom if plan.swap_block_signs else denom
-    ints = [0] * (n2 * (n2 - 1) // 2)
-
-    # heavy path on the inserted block: positions la+1 .. la+k+1
     heavy = omega.numerator * eps.denominator * base_cert.denom
-    for i in range(la + 1, la + k + 1):
-        ints[pair_index(n2, i, i + 1)] = heavy
-    # border blocks: first path row couples +1 to the left part and -1 to the
-    # right part, the last path row the other way around
-    first, last = la + 1, la + k + 1
-    for j in range(1, la + 1):
-        ints[pair_index(n2, j, first)] += unit
-        ints[pair_index(n2, j, last)] -= unit
-    for j in range(la + k + 2, n2 + 1):
-        ints[pair_index(n2, first, j)] -= unit
-        ints[pair_index(n2, last, j)] += unit
-
-    # stretched base certificate
+    unit = -denom if plan.swap_block_signs else denom
     stretch = eps.numerator * omega.denominator
-    pos = plan.position
-    for (i, j), v in zip(pair_indices(n), base_cert.ints):
-        if i == pos:
-            ni, nj = la + k + 1, j + k
-        elif j == pos:
-            ni, nj = i, la + 1
-        else:
-            ni = i if i <= la else i + k
-            nj = j if j <= la else j + k
-        if ni > nj:
-            ni, nj = nj, ni
-        ints[pair_index(n2, ni, nj)] += stretch * v
-    return SymZMat.of_ints(n2, ints, denom)
+    parts = _lift_parts(base_cert, plan.position, plan.k)
+    ints = [heavy * h + unit * b + stretch * s for h, b, s in parts]
+    return SymZMat.of_ints(base_cert.n + plan.k, ints, denom)
 
 
 def plain_alternating_base(n: int) -> SymZMat:
@@ -354,27 +363,43 @@ def _search_lift(
 ) -> tuple[SymZMat, Word, str, Fraction, Fraction, VerifyReport]:
     """Find omega/epsilon (and a sign configuration) making the lift verify.
 
-    Doubling/halving search: omega = 2^t, epsilon = 2^-t.  A candidate whose
-    cut table already fails is skipped; every other one is checked
-    exhaustively, so the returned certificate is proven, not guessed; the
+    Doubling/halving search: omega = 2^t, epsilon = 2^-t, so a candidate is
+    4^t d H +- 2^t d B + S over 2^t d, from lift's vectors built once and the
+    base's denominator d.  A cut_mask that failed the cut check is kept as
+    the sums of H, B and S over the pairs it separates; a later candidate
+    whose value there fails the cut relation, a bound on its cut minimum,
+    is skipped without a table.  Every other one gets one cut table, built
+    by the screen and read again by the verifier, and is skipped if it fails
+    or checked exhaustively, so the returned certificate is proven; the
     passing report is returned with it, or the last candidate's in the error.
     """
+    parts = _lift_parts(cert, position, k)
+    target = lifted_word(LiftPlan(word, position, k))
+    pair, n2 = _id_pair(target), target.n
+    fails_cut = _FAILS[dict(_SYSTEMS[condition])["cut"]]
+    failing = []  # per remembered mask, the sums of H, B and S over the pairs it separates
     for t in range(MAX_DOUBLINGS + 1):
-        omega = Fraction(2) ** t
-        eps = Fraction(1, 2**t)
-        for swapped in (False, True):
-            plan = LiftPlan(word, position, k, omega, eps, swapped)
-            candidate = lift(cert, plan)
-            target = lifted_word(plan)
-            if _cut_side_failure(candidate, target, condition):
+        denom, heavy = 2**t * cert.denom, 4**t * cert.denom
+        for unit in (denom, -denom):
+            candidate = SymZMat.of_ints(n2, [heavy * h + unit * b + s for h, b, s in parts], denom)
+            if any(fails_cut(heavy * h + unit * b + s, 0) for h, b, s in failing):
                 continue
-            report = verify_certificate(candidate, _id_pair(target), condition)
+            failure = _cut_side_failure(candidate, target, condition)
+            if failure == "cut":
+                side = format(_cut_table(candidate, target)[1], f"0{n2}b")
+                pairs = enumerate(pair_indices(n2))
+                cross = [parts[x] for x, (i, j) in pairs if side[i - 1] != side[j - 1]]
+                failing.append([sum(c) for c in zip(*cross)])
+            if failure:
+                continue
+            report = verify_certificate(candidate, pair, condition)
             if report.passed:
+                omega, eps = Fraction(2**t), Fraction(1, 2**t)
                 step = f"lift:pos={position},k={k},omega={format_rat(omega)},epsilon={format_rat(eps)}"
-                if swapped:
+                if unit < 0:
                     step += ",signs=swapped"
                 return candidate, target, step, omega, eps, report
-    report = verify_certificate(candidate, _id_pair(target), condition)
+    report = verify_certificate(candidate, pair, condition)
     raise RuntimeError(
         f"lift search exhausted after {MAX_DOUBLINGS} doublings at word {word}, "
         f"position {position}, k={k}; last margins {report.margins_json()}"

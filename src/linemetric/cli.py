@@ -129,7 +129,7 @@ def _load_matrix(path: str, check_n) -> tuple[SymZMat, str | None]:
             obj, condition = obj["matrix"], obj.get("condition")
         n, entries = parse_matrix_json(obj)
         check_n(n)
-        return SymZMat(n, entries), condition
+        return SymZMat.of_pairs(n, entries), condition
     except (OSError, ValueError, KeyError, TypeError, ArithmeticError, RecursionError) as exc:
         raise _Usage(f"cannot read matrix file {path}: {exc}")
 
@@ -181,7 +181,7 @@ def cmd_certify(args) -> tuple[int, dict, list[str]]:
     if args.emit:
         try:
             with open(args.emit, "w") as fh:
-                json.dump(cert_json, fh, indent=2)
+                fh.write(json.dumps(cert_json, indent=2))
         except OSError as exc:
             raise _Usage(f"cannot write certificate file {args.emit}: {exc}")
     r = cert.report

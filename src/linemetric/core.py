@@ -79,12 +79,20 @@ def parse_rat(text: str) -> Fraction:
     digits, and optionally '/' and ASCII digits.  Fraction() would also take
     exponents, which it expands digit by digit ('1e-3000000' takes seconds),
     decimal points, '_' and other scripts' digits."""
+    return Fraction(*_rat_pair(text))
+
+
+def _rat_pair(text: str) -> tuple[int, int]:
+    """parse_rat's (p, q), not reduced; q == 0 raises as Fraction(p, 0) does."""
     match = _RATIONAL.fullmatch(text)
     num = match and _decimal(match[2])
     den = match and _decimal(match[3] or "1")
     if num is None or den is None:
         raise ValueError(f"not a rational p/q: {_quote(text)}")
-    return Fraction(-num if match[1] == "-" else num, den)
+    num = -num if match[1] == "-" else num
+    if den == 0:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    return num, den
 
 
 def subset_sums(weights: Iterable[int]) -> list[int]:
@@ -334,16 +342,9 @@ class SymZMat:
 
     def __init__(self, n: int, entries: Optional[dict] = None):
         """Build from {(k, l): rational} with k < l; absent pairs are zero."""
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
-        vals = [0] * (n * (n - 1) // 2)
-        for (k, l), v in (entries or {}).items():
-            if not (1 <= k < l <= n):
-                raise ValueError(f"bad index pair ({k},{l}) for n={n}")
-            vals[pair_index(n, k, l)] = v if isinstance(v, (int, Fraction)) else Fraction(v)
-        denom = math.lcm(*(v.denominator for v in vals))
-        # lowest terms already: each prime's full power in denom divides some denominator
-        self._set(n, tuple(v.numerator * (denom // v.denominator) for v in vals), denom)
+        pairs = {key: Fraction(v).as_integer_ratio() for key, v in (entries or {}).items()}
+        m = SymZMat.of_pairs(n, pairs)
+        self._set(n, m.ints, m.denom)
 
     def _set(self, n: int, ints: tuple, denom: int) -> None:
         object.__setattr__(self, "n", n)
@@ -458,14 +459,28 @@ class SymZMat:
     @classmethod
     def from_json(cls, obj: dict) -> "SymZMat":
         """Read to_json's form, as parse_matrix_json reads it."""
-        return cls(*parse_matrix_json(obj))
+        return cls.of_pairs(*parse_matrix_json(obj))
+
+    @classmethod
+    def of_pairs(cls, n: int, entries: dict) -> "SymZMat":
+        """Build from parse_matrix_json's {(k, l): (p, q)}, over one lcm of the q."""
+        if n < 1:
+            raise ValueError("dimension must be >= 1")
+        denom = math.lcm(*(q for _, q in entries.values()))
+        ints = [0] * (n * (n - 1) // 2)
+        for (k, l), (p, q) in entries.items():
+            if not (1 <= k < l <= n):
+                raise ValueError(f"bad index pair ({k},{l}) for n={n}")
+            ints[pair_index(n, k, l)] = p * (denom // q)
+        return cls.of_ints(n, ints, denom)
 
 
 def parse_matrix_json(obj: dict) -> tuple[int, dict]:
-    """(n, {(k, l): Fraction}) from to_json's form, checked entry by entry but
-    not yet a matrix, so a caller can refuse n before the n(n-1)/2 entries
-    are allocated.  n, k and l must be JSON integers (not floats, booleans or
-    strings), and each value a rational string or a JSON integer."""
+    """(n, {(k, l): (p, q)}) from to_json's form, p/q read as parse_rat reads
+    it, checked entry by entry but not yet a matrix, so a caller can refuse n
+    before the n(n-1)/2 entries are allocated.  n, k and l must be JSON
+    integers (not floats, booleans or strings), and each value a rational
+    string or a JSON integer."""
     if not isinstance(obj, dict) or "n" not in obj:
         raise ValueError("matrix JSON must be an object with 'n' and 'entries'")
     n = _json_int(obj["n"], "'n'")
@@ -479,7 +494,7 @@ def parse_matrix_json(obj: dict) -> tuple[int, dict]:
             raise ValueError(
                 f"matrix entry {pos} value must be a rational string or an integer, got {text!r}"
             )
-        entries[key] = parse_rat(str(text))
+        entries[key] = _rat_pair(str(text))
     return n, entries
 
 

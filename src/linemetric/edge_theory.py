@@ -27,6 +27,7 @@ inequality systems are supported:
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -156,26 +157,20 @@ class VerifyReport:
         return out
 
 
+@functools.lru_cache(maxsize=1)
 def _cut_table(d: SymZMat, u: Word):
-    """d's integer entries, and its cut values against the target u.
+    """d's cut values against the target u.  The last call's are kept, and
+    read only, so a screen and the verify after it on one matrix share them.
 
     Masks read like words: element j is bit n - j, so the word classes are
-    the masks 2^(n-1) .. 2^n - 2 in order.  Returns the nonzero entries of
-    d.ints as 0-based (k, l, c), cut[S] = d.denom * D.M(chi^S) for every
-    mask S, d.denom, the first class other than u's minimising cut, and u's.
-    The table grows bit by bit: for S below bit i, with w = d.square() in
-    bit order (both axes reversed),
+    the masks 2^(n-1) .. 2^n - 2 in order.  Returns cut[S] = d.denom *
+    D.M(chi^S) for every mask S, the first class other than u's minimising
+    cut, and u's.  The table grows bit by bit: for S below bit i, with
+    w = d.square() in bit order (both axes reversed),
     cut[S + bit i] = cut[S] + 2 sum_b w[i][b] - 4 sum_{b in S} w[i][b],
     as i's edges into S stop crossing; one core.subset_sums table per row.
     """
-    n = d.n
-    nz = [
-        (k - 1, l - 1, c)
-        for (k, l), c in zip(pair_indices(n), d.ints)
-        if c != 0
-    ]
-
-    size = 1 << n
+    size = 1 << d.n
     weight = [row[::-1] for row in reversed(d.square())]
     cut = [0]
     for i, row in enumerate(weight):
@@ -183,10 +178,13 @@ def _cut_table(d: SymZMat, u: Word):
         cut += [c + base - 4 * t for c, t in zip(cut, subset_sums(row[:i]))]
 
     target_mask = int(str(u.canonical()), 2)
-    cut_mask = min(
-        (s for s in range(size >> 1, size - 1) if s != target_mask), key=cut.__getitem__
+    # the first minimiser of the classes below the target, then above it
+    value, start, stop = min(
+        (min(cut[start:stop]), start, stop)
+        for start, stop in ((size >> 1, target_mask), (target_mask + 1, size - 1))
+        if start < stop
     )
-    return nz, cut, d.denom, cut_mask, target_mask
+    return cut, cut.index(value, start, stop), target_mask
 
 
 def _margins(d: SymZMat, pi: Perm, u: Word):
@@ -202,7 +200,8 @@ def _margins(d: SymZMat, pi: Perm, u: Word):
     sum over those sets is exact.  D.M(pi) is the base.
     """
     n = d.n
-    nz, cut, denom, cut_mask, target_mask = _cut_table(d, u)
+    cut, cut_mask, target_mask = _cut_table(d, u)
+    nz = [(k - 1, l - 1, c) for (k, l), c in zip(pair_indices(n), d.ints) if c != 0]
 
     def value(point) -> int:
         total = 0
@@ -243,11 +242,11 @@ def _margins(d: SymZMat, pi: Perm, u: Word):
     if value(perm_arg.images) - base != perm_min:
         raise AssertionError(f"chain minimum {perm_min} is not attained by {perm_arg}")
     return (
-        Fraction(perm_min, denom),
+        Fraction(perm_min, d.denom),
         perm_arg,
-        Fraction(cut[cut_mask], denom),
+        Fraction(cut[cut_mask], d.denom),
         Word.parse(format(cut_mask, f"0{n}b")),
-        Fraction(cut[target_mask], denom),
+        Fraction(cut[target_mask], d.denom),
     )
 
 
@@ -265,7 +264,7 @@ def _cut_side_failure(d: SymZMat, u: Word, condition: str) -> Optional[str]:
     a failure here fails verify_certificate too, but None proves nothing.
     """
     require_exhaustible(d.n)
-    _, cut, _, cut_mask, target_mask = _cut_table(d, u)
+    cut, cut_mask, target_mask = _cut_table(d, u)
     values = {"cut": cut[cut_mask], "target": cut[target_mask]}
     for margin, rel in _SYSTEMS[condition]:
         if margin in values and _FAILS[rel](values[margin], 0):

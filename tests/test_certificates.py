@@ -10,8 +10,9 @@ Claims covered:
     - synthesis returns a verified certificate for every requested edge pair and
       refuses non-edges with the exact conic identity attached
     - the synthesized report names minimisers in the pair's own coordinates
-    - the lift search's cut-table screen only rejects candidates the verifier
-      rejects on the same check, and changes no certificate
+    - the lift search's cut-table screen and its remembered failing masks only
+      reject candidates the verifier rejects on the same check, and change no
+      certificate, at every edge class at the identity at n = 8 too
 """
 
 import dataclasses
@@ -43,6 +44,7 @@ from linemetric import (
     plain_alternating_base,
     synthesize,
     verify_certificate,
+    word_classes,
 )
 from linemetric.certificates import BASE_NAMES, MAX_DOUBLINGS, _id_pair
 from linemetric.core import format_rat
@@ -377,21 +379,41 @@ class TestSynthesize:
 
     def test_screen_rejects_only_what_the_verifier_rejects(self, monkeypatch):
         # every candidate the screen skips fails the full verifier, on the
-        # very check (target or cut) and relation the screen named
-        screened = []
+        # very check (target or cut) and relation the screen named; a
+        # candidate skipped on a remembered mask, before any table, fails it
+        # on the cut check
+        screened, remembered = [], []
         screen = certificates._cut_side_failure
+        search = certificates._search_lift
 
         def recording(d, u, condition):
             failure = screen(d, u, condition)
             screened.append((d, u, condition, failure))
             return failure
 
+        def recording_search(cert, word, position, k, condition):
+            start = len(screened)
+            found = search(cert, word, position, k, condition)
+            seen = {d for d, *_ in screened[start:]}
+            # the search's candidates in order, up to the one it returns
+            for t, swapped in itertools.product(range(MAX_DOUBLINGS + 1), (False, True)):
+                plan = LiftPlan(word, position, k, Fraction(2) ** t, Fraction(1, 2**t), swapped)
+                candidate = lift(cert, plan)
+                if candidate == found[0]:
+                    break
+                if candidate not in seen:
+                    remembered.append((candidate, found[1], condition))
+            return found
+
         monkeypatch.setattr(certificates, "_cut_side_failure", recording)
+        monkeypatch.setattr(certificates, "_search_lift", recording_search)
         for pair in screened_pairs():
             synthesize(pair)
         rejected = [entry for entry in screened if entry[3] is not None]
         assert len(rejected) > len(screened) // 2
         assert "cut" in {failure for *_, failure in rejected}
+        assert len(remembered) > len(screened) // 4
+        rejected += [(d, u, condition, "cut") for d, u, condition in remembered]
         for d, u, condition, failure in rejected:
             report = verify_certificate(d, _id_pair(u), condition)
             assert not report.passed
@@ -418,6 +440,29 @@ class TestSynthesize:
     def test_screened_synthesis_matches_unscreened(self, monkeypatch):
         pairs = screened_pairs()
         screened = [synthesize(pair) for pair in pairs]
+        monkeypatch.setattr(certificates, "_search_lift", unscreened_search_lift)
+        for pair, cert in zip(pairs, screened):
+            reference = synthesize(pair)
+            assert cert.to_json() == reference.to_json()
+            assert cert.report == reference.report
+
+    def test_every_identity_class_at_n8_matches_unscreened(self, monkeypatch):
+        # the size certify-large runs at, past the golden file's n <= 7
+        pairs = [_id_pair(u) for u in word_classes(8) if classify(_id_pair(u)).is_edge]
+        searched = []
+        search = certificates._search_lift
+
+        def recording_search(*args):
+            searched.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(certificates, "_search_lift", recording_search)
+        screened, lifted = [], 0
+        for pair in pairs:
+            searched.clear()
+            screened.append(synthesize(pair))
+            lifted += bool(searched)
+        assert (len(pairs), lifted) == (120, 112)
         monkeypatch.setattr(certificates, "_search_lift", unscreened_search_lift)
         for pair, cert in zip(pairs, screened):
             reference = synthesize(pair)

@@ -27,8 +27,10 @@ Claims covered:
       vertices, and its negation fails on a permutation attaining perm_min
     - the cut table the margins are read from: cut[S] = denom * D.M(chi^S)
       from the public inner product on every mask at n = 3..9 and on sampled
-      masks at n = 15 and 16, with its target and minimising class; and the
-      alternating induction certificate passes at n = 15 and 16
+      masks at n = 15 and 16, with its target and minimising class, also when
+      the target is the first or last class and the minimum ties on both of
+      its sides; and the alternating induction certificate passes at n = 15
+      and 16
 """
 
 import itertools
@@ -275,8 +277,8 @@ def cut_value(d, mask):
 def assert_cut_table(d, u, masks):
     """_cut_table's values on masks, and its target, against the definition."""
     n = d.n
-    _, cut, denom, cut_mask, target_mask = _cut_table(d, u)
-    assert len(cut) == 1 << n and denom == d.denom
+    cut, cut_mask, target_mask = _cut_table(d, u)
+    assert len(cut) == 1 << n
     for s in masks:
         assert cut[s] == cut_value(d, s)
     assert format(target_mask, f"0{n}b") == str(u.canonical())
@@ -301,6 +303,29 @@ def test_cut_table_every_mask():
             others = [w for w in words if w != u.canonical()]
             values = [cut_value(d, int(str(w), 2)) for w in others]
             assert format(cut_mask, f"0{n}b") == str(others[values.index(min(values))])
+
+
+def test_cut_mask_at_the_ends_of_the_range_with_ties():
+    # the target is the first class, the last, or one between; the minimum
+    # ties on both sides of it, and cut_mask is the first minimiser in
+    # word_classes order either way
+    rnd = random.Random(2031)
+    for n in range(3, 8):
+        words = list(word_classes(n))
+        matrices = [SymZMat.zero(n), SymZMat.all_ones(n)]
+        matrices += [random_matrix(rnd, n, (-1, 0, 1), (1,)) for _ in range(6)]
+        for d in matrices:
+            for u in {words[0], words[len(words) // 2], words[-1]}:
+                _, cut_mask = assert_cut_table(d, u, [])
+                others = [w for w in words if w != u]
+                values = [cut_value(d, int(str(w), 2)) for w in others]
+                assert format(cut_mask, f"0{n}b") == str(others[values.index(min(values))])
+    # all-ones: the least cut separates one element, so classes 10000 and
+    # 10111 .. 11110 tie, on both sides of a target between them
+    ones = SymZMat.all_ones(5)
+    for target, first in [("10000", "10111"), ("11000", "10000"), ("11110", "10000")]:
+        _, cut_mask = assert_cut_table(ones, Word.parse(target), [])
+        assert format(cut_mask, "05b") == first
 
 
 @pytest.mark.parametrize("n", [15, 16])
