@@ -11,7 +11,6 @@ from .core import (
     Word,
     conjugate,
     exhaustion_bound,
-    format_rat,
     inner_product,
     pair_indices,
     parse_rat,
@@ -57,7 +56,6 @@ from .certificates import (
     BASE_NAMES,
     BaseCertificate,
     EdgeCertificate,
-    LiftPlan,
     NonEdgeError,
     alternating_word,
     base_certificate,

@@ -3,7 +3,8 @@
 Six hand-computed base matrices certify the irreducible edge words; every
 other edge pair reduces to one of them.  The reductions are inverted here:
 a certificate for a short word is lifted to any word obtained by expanding
-one of its runs, an inductive block construction covers the alternating
+one of its runs, with omega = 2^t and epsilon = 2^-t the only weights a
+lift is built with, an inductive block construction covers the alternating
 words, and the path-matrix construction covers the incident case.  Every
 construction is pure: it builds a matrix and never verifies it.  The
 synthesis pipeline glues them together and is the one place that
@@ -28,16 +29,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
-from .core import (
-    Perm,
-    RatLike,
-    SymZMat,
-    Word,
-    conjugate,
-    format_rat,
-    pair_index,
-    pair_indices,
-)
+from .core import Perm, SymZMat, Word, conjugate, pair_index, pair_indices
 from .edge_theory import (
     HalfLinePair,
     NonEdgeWitness,
@@ -53,7 +45,7 @@ from .edge_theory import (
 )
 from .permutahedron import incident, incident_sets
 
-# omega = 2^t, epsilon = 2^-t for t = 0 .. MAX_DOUBLINGS in the lift search
+# a lift's omega = 2^t and epsilon = 2^-t; the search tries t = 0 .. MAX_DOUBLINGS
 MAX_DOUBLINGS = 24
 
 
@@ -174,37 +166,11 @@ def face_certificate(n: int, excluded: Iterable[Word] = ()) -> SymZMat:
     return mat + SymZMat(n, bump)
 
 
-@dataclass(frozen=True)
-class LiftPlan:
-    """Expansion of one run of a base word by k extra copies of its symbol.
-
-    position is the 1-based index of a symbol inside the run being expanded;
-    the construction itself only depends on the split point, so expanding a
-    0-run needs no separate treatment (complementing the word relabels the
-    target class but not the matrix).
-    """
-
-    word: Word
-    position: int
-    k: int
-    omega: RatLike = 1
-    epsilon: RatLike = 1
-    swap_block_signs: bool = False
-
-    def __post_init__(self):
-        if not (1 <= self.position <= self.word.n):
-            raise ValueError(f"position {self.position} outside word {self.word}")
-        if self.k < 0:
-            raise ValueError("k must be >= 0")
-        if self.omega < 1 or self.epsilon <= 0:
-            raise ValueError("need omega >= 1 and epsilon > 0")
-
-
-def lifted_word(plan: LiftPlan) -> Word:
+def lifted_word(word: Word, position: int, k: int) -> Word:
     """The target word: k extra copies of the symbol at the split position."""
-    bits = list(plan.word.bits)
-    sym = bits[plan.position - 1]
-    return Word(bits[: plan.position] + [sym] * plan.k + bits[plan.position :])
+    bits = list(word.bits)
+    sym = bits[position - 1]
+    return Word(bits[:position] + [sym] * k + bits[position:])
 
 
 def _lift_parts(base_cert: SymZMat, position: int, k: int) -> list[tuple[int, int, int]]:
@@ -241,27 +207,39 @@ def _lift_parts(base_cert: SymZMat, position: int, k: int) -> list[tuple[int, in
     return list(zip(heavy, border, stretch))
 
 
-def lift(base_cert: SymZMat, plan: LiftPlan) -> SymZMat:
-    """Lift a certificate across a run expansion: B(omega) + epsilon * stretched.
+def _lift_ints(parts: list, d: int, t: int, swapped: bool) -> tuple[list[int], int]:
+    """4^t d H +- 2^t d B + S over 2^t d, one int per (H, B, S) in parts:
+    the lift with omega = 2^t and epsilon = 2^-t of a base over denominator d."""
+    denom = 2**t * d
+    heavy, unit = 2**t * denom, -denom if swapped else denom
+    return [heavy * h + unit * b + s for h, b, s in parts], denom
 
-    The heavy path block B pins the expanded run in place, its +-1 border
-    blocks couple the path endpoints to the two sides, and the base
-    certificate is stretched around a zero middle block, splitting the old
-    split-position connections between the two path endpoints.
+
+def lift(
+    base_cert: SymZMat, word: Word, position: int, k: int, t: int = 0, swapped: bool = False
+) -> SymZMat:
+    """Lift a certificate across the expansion of word's run at position by
+    k copies: omega H +- B + epsilon S, with omega = 2^t and epsilon = 2^-t.
+
+    The heavy path H pins the expanded run in place, the +-1 border blocks B
+    (signs swapped when swapped) couple the path endpoints to the two sides,
+    and S is the base certificate stretched around a zero middle block,
+    splitting the old split-position connections between the two path
+    endpoints.  position is the 1-based index of a symbol inside the run; the
+    construction only depends on the split point, so expanding a 0-run needs
+    no separate treatment (complementing the word relabels the target class
+    but not the matrix).
     """
-    if base_cert.n != plan.word.n:
+    if base_cert.n != word.n:
         raise ValueError("certificate and word sizes differ")
-    if plan.k == 0:
+    if not (1 <= position <= word.n):
+        raise ValueError(f"position {position} outside word {word}")
+    if k < 0 or t < 0:
+        raise ValueError("need k >= 0 and t >= 0")
+    if k == 0:
         return base_cert
-    omega, eps = plan.omega, plan.epsilon
-    # one int per entry over denom; epsilon * base_cert adds stretch * base_cert.ints
-    denom = omega.denominator * eps.denominator * base_cert.denom
-    heavy = omega.numerator * eps.denominator * base_cert.denom
-    unit = -denom if plan.swap_block_signs else denom
-    stretch = eps.numerator * omega.denominator
-    parts = _lift_parts(base_cert, plan.position, plan.k)
-    ints = [heavy * h + unit * b + stretch * s for h, b, s in parts]
-    return SymZMat.of_ints(base_cert.n + plan.k, ints, denom)
+    ints, denom = _lift_ints(_lift_parts(base_cert, position, k), base_cert.denom, t, swapped)
+    return SymZMat.of_ints(base_cert.n + k, ints, denom)
 
 
 def plain_alternating_base(n: int) -> SymZMat:
@@ -351,8 +329,8 @@ class EdgeCertificate:
             "pair": self.pair.to_json(),
             "matrix": self.matrix.to_json(),
             "condition": self.condition,
-            "omega": format_rat(self.omega),
-            "epsilon": format_rat(self.epsilon),
+            "omega": str(self.omega),
+            "epsilon": str(self.epsilon),
             "construction": list(self.construction),
             "margins": self.report.margins_json(),
         }
@@ -363,26 +341,26 @@ def _search_lift(
 ) -> tuple[SymZMat, Word, str, Fraction, Fraction, VerifyReport]:
     """Find omega/epsilon (and a sign configuration) making the lift verify.
 
-    Doubling/halving search: omega = 2^t, epsilon = 2^-t, so a candidate is
-    4^t d H +- 2^t d B + S over 2^t d, from lift's vectors built once and the
-    base's denominator d.  A cut_mask that failed the cut check is kept as
-    the sums of H, B and S over the pairs it separates; a later candidate
-    whose value there fails the cut relation, a bound on its cut minimum,
-    is skipped without a table.  Every other one gets one cut table, built
-    by the screen and read again by the verifier, and is skipped if it fails
-    or checked exhaustively, so the returned certificate is proven; the
-    passing report is returned with it, or the last candidate's in the error.
+    Doubling search over lift's t and swapped: a candidate is
+    4^t d H +- 2^t d B + S over 2^t d, built by lift's own formula from its
+    vectors, computed once, and the base's denominator d.  A cut_mask that
+    failed the cut check is kept as the sums of H, B and S over the pairs it
+    separates; a later candidate whose value there fails the cut relation, a
+    bound on its cut minimum, is skipped without a table.  Every other one
+    gets one cut table, built by the screen and read again by the verifier,
+    and is skipped if it fails or checked exhaustively, so the returned
+    certificate is proven; the passing report is returned with it, or the
+    last candidate's in the error.
     """
     parts = _lift_parts(cert, position, k)
-    target = lifted_word(LiftPlan(word, position, k))
+    target = lifted_word(word, position, k)
     pair, n2 = _id_pair(target), target.n
     fails_cut = _FAILS[dict(_SYSTEMS[condition])["cut"]]
     failing = []  # per remembered mask, the sums of H, B and S over the pairs it separates
     for t in range(MAX_DOUBLINGS + 1):
-        denom, heavy = 2**t * cert.denom, 4**t * cert.denom
-        for unit in (denom, -denom):
-            candidate = SymZMat.of_ints(n2, [heavy * h + unit * b + s for h, b, s in parts], denom)
-            if any(fails_cut(heavy * h + unit * b + s, 0) for h, b, s in failing):
+        for swapped in (False, True):
+            candidate = SymZMat.of_ints(n2, *_lift_ints(parts, cert.denom, t, swapped))
+            if any(fails_cut(v, 0) for v in _lift_ints(failing, cert.denom, t, swapped)[0]):
                 continue
             failure = _cut_side_failure(candidate, target, condition)
             if failure == "cut":
@@ -395,8 +373,8 @@ def _search_lift(
             report = verify_certificate(candidate, pair, condition)
             if report.passed:
                 omega, eps = Fraction(2**t), Fraction(1, 2**t)
-                step = f"lift:pos={position},k={k},omega={format_rat(omega)},epsilon={format_rat(eps)}"
-                if unit < 0:
+                step = f"lift:pos={position},k={k},omega={omega},epsilon={eps}"
+                if swapped:
                     step += ",signs=swapped"
                 return candidate, target, step, omega, eps, report
     report = verify_certificate(candidate, pair, condition)

@@ -31,7 +31,6 @@ from .core import (
     _decimal,
     _quote,
     exhaustion_bound,
-    format_rat,
     pair_indices,
     parse_matrix_json,
     parse_rat,
@@ -162,8 +161,7 @@ def cmd_certify(args) -> tuple[int, dict, list[str]]:
         results = {**verdict.to_json(), **report.to_json()}
         lines = [
             f"{'pass' if report.passed else 'fail'} ({report.condition} condition)",
-            f"margins: perm_min={format_rat(report.perm_min)} "
-            f"cut_min={format_rat(report.cut_min)} target={format_rat(report.target)}",
+            f"margins: perm_min={report.perm_min} cut_min={report.cut_min} target={report.target}",
         ]
         if report.offender:
             lines.append(f"offender: {report.offender}")
@@ -188,8 +186,7 @@ def cmd_certify(args) -> tuple[int, dict, list[str]]:
     results = {**verdict.to_json(), "margins": r.margins_json(), "certificate": cert_json}
     lines = [
         f"pass ({cert.condition} condition)",
-        f"margins: perm_min={format_rat(r.perm_min)} "
-        f"cut_min={format_rat(r.cut_min)} target={format_rat(r.target)}",
+        f"margins: perm_min={r.perm_min} cut_min={r.cut_min} target={r.target}",
         f"construction: {' -> '.join(cert.construction)}",
     ]
     if args.emit:
@@ -226,16 +223,16 @@ def cmd_check_metric(args) -> tuple[int, dict, list[str]]:
     else:
         lines.append(f"E_{n}: yes")
         if info.separated:
-            xs = "(" + ",".join(format_rat(v) for v in info.witness) + ")"
+            xs = "(" + ",".join(map(str, info.witness)) + ")"
             lines.append(f"E_{n}^b: yes, pi={info.pi}, x={xs}")
             results["pi"] = str(info.pi)
-            results["x"] = [format_rat(v) for v in info.witness]
+            results["x"] = list(map(str, info.witness))
         else:
             low = min(range(len(mat.ints)), key=mat.ints.__getitem__)
             k, l = pair_indices(n)[low]
             v = mat.get(k, l)
-            lines.append(f"E_{n}^b: no (entry ({k},{l})={format_rat(v)} < 1)")
-            results["min_entry"] = {"pair": [k, l], "value": format_rat(v)}
+            lines.append(f"E_{n}^b: no (entry ({k},{l})={v} < 1)")
+            results["min_entry"] = {"pair": [k, l], "value": str(v)}
     if args.spreading:
         rep = spreading_check(mat)
         results["spreading_violations"] = len(rep.strong)
@@ -246,12 +243,12 @@ def cmd_check_metric(args) -> tuple[int, dict, list[str]]:
             subset = "{" + ",".join(str(j) for j in sorted(first.subset)) + "}"
             lines.append(
                 f"spreading: {len(rep.strong)} violations "
-                f"(first: i={first.i} S={subset} sum={format_rat(first.lhs)} < {format_rat(first.rhs)})"
+                f"(first: i={first.i} S={subset} sum={first.lhs} < {first.rhs})"
             )
     if args.facet:
         slack = qn_facet_value(mat)
-        results["facet_slack"] = format_rat(slack)
-        lines.append(f"facet slack: {format_rat(slack)}")
+        results["facet_slack"] = str(slack)
+        lines.append(f"facet slack: {slack}")
     return EXIT_OK, results, lines
 
 
@@ -326,8 +323,9 @@ def build_parser() -> _Parser:
     p.add_argument("n", type=_positional_n)
     p.add_argument("--pi", help="vertex permutation (default identity)")
     p.add_argument("--u", required=True, help="cut word, e.g. 1001")
-    p.add_argument("--emit", help="write the certificate JSON here")
-    p.add_argument("--verify-only", help="verify the matrix in this JSON file instead")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--emit", help="write the certificate JSON here")
+    mode.add_argument("--verify-only", help="verify the matrix in this JSON file instead")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_certify)
 

@@ -18,6 +18,7 @@ import math
 import operator
 import os
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -104,13 +105,6 @@ def subset_sums(weights: Iterable[int]) -> list[int]:
     return sums
 
 
-def format_rat(q: RatLike) -> str:
-    """Render an exact rational as 'p/q', or 'p' when the denominator is 1."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def pair_indices(n: int) -> list[tuple[int, int]]:
     """All (k, l) with 1 <= k < l <= n, in lexicographic order."""
     return [(k, l) for k in range(1, n) for l in range(k + 1, n + 1)]
@@ -121,22 +115,33 @@ def pair_index(n: int, k: int, l: int) -> int:
     return (k - 1) * (2 * n - k) // 2 + l - k - 1
 
 
+def _int_tuple(values: Iterable, what: str) -> tuple[int, ...]:
+    """values as a tuple of ints.  An entry that is not an int raises a
+    ValueError naming it; int() would truncate a float or a Fraction."""
+    out = []
+    for pos, v in enumerate(values, start=1):
+        try:
+            out.append(operator.index(v))
+        except TypeError:
+            bad = _quote(repr(v), str)
+            raise ValueError(f"{what} entry {pos} is not an integer: {bad}") from None
+    return tuple(out)
+
+
+@dataclass(frozen=True, slots=True)
 class Perm:
     """A permutation of [n], stored as its image sequence (pi(1), ..., pi(n))."""
 
-    __slots__ = ("images",)
+    images: tuple[int, ...]
 
-    def __init__(self, images: Iterable[int]):
-        images = tuple(int(v) for v in images)
+    def __post_init__(self):
+        images = _int_tuple(self.images, "permutation")
         n = len(images)
         if n < 1:
             raise ValueError("permutation needs length >= 1")
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection of [{n}]: {_quote(str(images), str)}")
         object.__setattr__(self, "images", images)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Perm is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "Perm":
@@ -161,12 +166,6 @@ class Perm:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.images)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Perm) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
 
     def __repr__(self) -> str:
         return f"Perm({list(self.images)})"
@@ -214,21 +213,19 @@ def perm_classes(n: int) -> Iterator[Perm]:
             yield Perm(images)
 
 
+@dataclass(frozen=True, slots=True)
 class Word:
     """A subset U of [n] as a 0/1 word; position j holds 1 iff j is in U."""
 
-    __slots__ = ("bits",)
+    bits: tuple[int, ...]
 
-    def __init__(self, bits: Iterable[int]):
-        bits = tuple(int(b) for b in bits)
+    def __post_init__(self):
+        bits = _int_tuple(self.bits, "word")
         if not bits:
             raise ValueError("word needs length >= 1")
         if any(b not in (0, 1) for b in bits):
             raise ValueError(f"bits must be 0/1: {bits}")
         object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Word is immutable")
 
     @classmethod
     def parse(cls, text: str) -> "Word":
@@ -255,12 +252,6 @@ class Word:
     @property
     def elements(self) -> frozenset:
         return frozenset(j for j, b in enumerate(self.bits, start=1) if b)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash(self.bits)
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
@@ -329,6 +320,7 @@ def word_classes(n: int) -> Iterator[Word]:
         yield Word(bits)
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class SymZMat:
     """Symmetric n x n matrix over Q with zero diagonal, stored as its upper triangle.
 
@@ -338,11 +330,17 @@ class SymZMat:
     and equality and hashing compare those fields.  Instances are immutable.
     """
 
-    __slots__ = ("n", "ints", "denom")
+    n: int
+    ints: tuple[int, ...]
+    denom: int
 
     def __init__(self, n: int, entries: Optional[dict] = None):
-        """Build from {(k, l): rational} with k < l; absent pairs are zero."""
-        pairs = {key: Fraction(v).as_integer_ratio() for key, v in (entries or {}).items()}
+        """Build from {(k, l): int or Fraction} with k < l; absent pairs are zero."""
+        pairs = {}
+        for (k, l), v in (entries or {}).items():
+            if not isinstance(v, (int, Fraction)):
+                raise ValueError(f"matrix entry ({k},{l}) must be an int or a Fraction, got {v!r}")
+            pairs[k, l] = v.as_integer_ratio()
         m = SymZMat.of_pairs(n, pairs)
         self._set(n, m.ints, m.denom)
 
@@ -350,9 +348,6 @@ class SymZMat:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ints", ints)
         object.__setattr__(self, "denom", denom)
-
-    def __setattr__(self, *a):
-        raise AttributeError("SymZMat is immutable")
 
     @classmethod
     def of_ints(cls, n: int, ints: Iterable[int], denom: int = 1) -> "SymZMat":
@@ -433,24 +428,13 @@ class SymZMat:
         p, q = c.numerator, c.denominator
         return SymZMat.of_ints(self.n, [p * a for a in self.ints], q * self.denom)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SymZMat)
-            and self.n == other.n
-            and self.denom == other.denom
-            and self.ints == other.ints
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.ints, self.denom))
-
     def __repr__(self) -> str:
         return f"SymZMat(n={self.n}, nonzeros={len(self.ints) - self.ints.count(0)})"
 
     def to_json(self) -> dict:
         """{'n': n, 'entries': [[k, l, 'p/q'], ...]} over the nonzero strict upper triangle."""
         triples = [
-            [k, l, format_rat(Fraction(a, self.denom) if self.denom != 1 else a)]
+            [k, l, str(Fraction(a, self.denom) if self.denom != 1 else a)]
             for (k, l), a in zip(pair_indices(self.n), self.ints)
             if a
         ]

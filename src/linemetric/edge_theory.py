@@ -37,7 +37,6 @@ from .core import (
     Perm,
     SymZMat,
     Word,
-    format_rat,
     pair_indices,
     require_exhaustible,
     subset_sums,
@@ -141,9 +140,9 @@ class VerifyReport:
 
     def margins_json(self) -> dict:
         return {
-            "perm_min": format_rat(self.perm_min),
-            "cut_min": format_rat(self.cut_min),
-            "target": format_rat(self.target),
+            "perm_min": str(self.perm_min),
+            "cut_min": str(self.cut_min),
+            "target": str(self.target),
         }
 
     def to_json(self) -> dict:
@@ -292,7 +291,7 @@ def verify_certificate(d: SymZMat, pair: HalfLinePair, condition: str) -> Verify
     for margin, rel in _SYSTEMS[condition]:
         value, name = named[margin]
         if _FAILS[rel](value, 0):
-            offender = f"{name} {format_rat(value)} {rel} 0"
+            offender = f"{name} {value} {rel} 0"
             break
     return VerifyReport(
         condition, offender is None, perm_min, cut_min, target, perm_arg, cut_arg, offender

@@ -10,14 +10,10 @@ verifies all six matrices under the system they actually satisfy, and the
 strict claims for those two are kept as strict xfails so the fact stays
 pinned and would be flagged if it ever silently changed (strict
 certificates for the same words exist; see plain_alternating_base).
-
-Criterion 2 runs its n = 6 sweep by default; set LINEMETRIC_SKIP_N6=1 to
-skip that portion.
 """
 
 import itertools
 import math
-import os
 import random
 from fractions import Fraction
 
@@ -145,8 +141,6 @@ def test_criterion_2_classifier_vs_oracle_n_le_5():
 
 
 def test_criterion_2_classifier_vs_oracle_n6():
-    if os.environ.get("LINEMETRIC_SKIP_N6"):
-        pytest.skip("n=6 sweep disabled via LINEMETRIC_SKIP_N6")
     total, agree = _agreement_sweep(6)
     assert agree == total == 360 * 31
     ok(2, f"n=6 sweep: {agree}/{total} canonical pairs agree")

@@ -26,7 +26,6 @@ import linemetric.certificates as certificates
 import linemetric.edge_theory as edge_theory
 from linemetric import (
     HalfLinePair,
-    LiftPlan,
     NonEdgeError,
     Perm,
     SymZMat,
@@ -47,7 +46,6 @@ from linemetric import (
     word_classes,
 )
 from linemetric.certificates import BASE_NAMES, MAX_DOUBLINGS, _id_pair
-from linemetric.core import format_rat
 from linemetric.edge_theory import _FAILS, _SYSTEMS
 from test_acceptance import DISPATCH_BRANCH_WORDS
 
@@ -55,16 +53,15 @@ from test_acceptance import DISPATCH_BRANCH_WORDS
 def unscreened_search_lift(cert, word, position, k, condition):
     """The lift search without the cut-table screen: every candidate gets
     the full verifier.  The reference for the screened search."""
+    target = lifted_word(word, position, k)
     for t in range(MAX_DOUBLINGS + 1):
         omega = Fraction(2) ** t
         eps = Fraction(1, 2**t)
         for swapped in (False, True):
-            plan = LiftPlan(word, position, k, omega, eps, swapped)
-            candidate = lift(cert, plan)
-            target = lifted_word(plan)
+            candidate = lift(cert, word, position, k, t, swapped)
             report = verify_certificate(candidate, _id_pair(target), condition)
             if report.passed:
-                step = f"lift:pos={position},k={k},omega={format_rat(omega)},epsilon={format_rat(eps)}"
+                step = f"lift:pos={position},k={k},omega={omega},epsilon={eps}"
                 if swapped:
                     step += ",signs=swapped"
                 return candidate, target, step, omega, eps, report
@@ -139,14 +136,12 @@ class TestBaseLibrary:
 class TestLift:
     def test_k_zero_is_identity(self):
         base = base_certificate("C_1001").matrix
-        plan = LiftPlan(Word.parse("1001"), position=1, k=0)
-        assert lift(base, plan) == base
+        assert lift(base, Word.parse("1001"), position=1, k=0) == base
 
     def test_worked_example_matrix(self):
         # expanding the leading hill of 1001 by one with omega = epsilon = 1
-        plan = LiftPlan(Word.parse("1001"), position=1, k=1, omega=1, epsilon=1)
-        got = lift(base_certificate("C_1001").matrix, plan)
-        assert lifted_word(plan) == Word.parse("11001")
+        got = lift(base_certificate("C_1001").matrix, Word.parse("1001"), position=1, k=1, t=0)
+        assert lifted_word(Word.parse("1001"), position=1, k=1) == Word.parse("11001")
         assert got.rows() == [
             [0, 1, -1, -1, -1],
             [1, 0, 2, -1, 2],
@@ -158,26 +153,40 @@ class TestLift:
     def test_small_omega_fails_large_omega_verifies(self):
         base = base_certificate("C_1001").matrix
         word = Word.parse("1001")
-        naive = lift(base, LiftPlan(word, 1, 1, omega=1, epsilon=1))
+        naive = lift(base, word, 1, 1, t=0)
         assert not verify_certificate(naive, _id_pair(Word.parse("11001")), "farkas").passed
-        tuned = lift(base, LiftPlan(word, 1, 1, omega=4, epsilon=Fraction(1, 4)))
+        tuned = lift(base, word, 1, 1, t=2)  # omega = 4, epsilon = 1/4
         rep = verify_certificate(tuned, _id_pair(Word.parse("11001")), "farkas")
         assert rep.passed and rep.target == -1
 
     def test_zero_run_lift(self):
-        plan = LiftPlan(Word.parse("1001"), position=2, k=1)
-        assert lifted_word(plan) == Word.parse("10001")
+        assert lifted_word(Word.parse("1001"), position=2, k=1) == Word.parse("10001")
+
+    def test_integer_form_is_omega_path_plus_epsilon_stretch(self):
+        # the one integer form equals omega * H +- B + epsilon * S in exact
+        # matrix arithmetic, with omega = 2^t and epsilon = 2^-t
+        for name in BASE_NAMES:
+            cert = base_certificate(name)
+            for position, t, swapped in itertools.product(range(1, cert.n + 1), range(4), (0, 1)):
+                parts = certificates._lift_parts(cert.matrix, position, 2)
+                h, b, s = (SymZMat.of_ints(cert.n + 2, v) for v in zip(*parts))
+                expected = h.scale(2**t) + b.scale((-1) ** swapped) + s.scale(
+                    Fraction(1, 2**t * cert.matrix.denom)
+                )
+                assert lift(cert.matrix, cert.word, position, 2, t, bool(swapped)) == expected
 
     def test_plan_validation(self):
-        w = Word.parse("1001")
+        base, w = base_certificate("C_1001").matrix, Word.parse("1001")
         with pytest.raises(ValueError):
-            LiftPlan(w, position=0, k=1)
+            lift(base, w, position=0, k=1)
         with pytest.raises(ValueError):
-            LiftPlan(w, position=1, k=-1)
+            lift(base, w, position=5, k=1)
         with pytest.raises(ValueError):
-            LiftPlan(w, position=1, k=1, omega=Fraction(1, 2))
+            lift(base, w, position=1, k=-1)
         with pytest.raises(ValueError):
-            LiftPlan(w, position=1, k=1, epsilon=0)
+            lift(base, w, position=1, k=1, t=-1)
+        with pytest.raises(ValueError):
+            lift(base, Word.parse("10010"), position=1, k=1)
 
     def test_one_step_lifts_from_every_base_verify(self):
         # every position of every base word admits a verified single lift
@@ -185,13 +194,9 @@ class TestLift:
             cert = base_certificate(name)
             for position in range(1, cert.n + 1):
                 lifted = None
-                target = None
+                target = lifted_word(cert.word, position, 1)
                 for t in range(8):
-                    plan = LiftPlan(
-                        cert.word, position, 1, omega=2**t, epsilon=Fraction(1, 2**t)
-                    )
-                    candidate = lift(cert.matrix, plan)
-                    target = lifted_word(plan)
+                    candidate = lift(cert.matrix, cert.word, position, 1, t)
                     if verify_certificate(candidate, _id_pair(target), "farkas").passed:
                         lifted = candidate
                         break
@@ -324,10 +329,8 @@ class TestSynthesize:
         # the default border-block sign pattern is the verifying one; the
         # swapped configuration stays available but fails on the worked example
         base = base_certificate("C_1001").matrix
-        plan = LiftPlan(
-            Word.parse("1001"), 1, 1, omega=4, epsilon=Fraction(1, 4), swap_block_signs=True
-        )
-        rep = verify_certificate(lift(base, plan), _id_pair(Word.parse("11001")), "farkas")
+        swapped = lift(base, Word.parse("1001"), 1, 1, t=2, swapped=True)
+        rep = verify_certificate(swapped, _id_pair(Word.parse("11001")), "farkas")
         assert not rep.passed
 
     def test_random_vertices_random_words(self):
@@ -397,8 +400,7 @@ class TestSynthesize:
             seen = {d for d, *_ in screened[start:]}
             # the search's candidates in order, up to the one it returns
             for t, swapped in itertools.product(range(MAX_DOUBLINGS + 1), (False, True)):
-                plan = LiftPlan(word, position, k, Fraction(2) ** t, Fraction(1, 2**t), swapped)
-                candidate = lift(cert, plan)
+                candidate = lift(cert, word, position, k, t, swapped)
                 if candidate == found[0]:
                     break
                 if candidate not in seen:

@@ -92,6 +92,16 @@ class TestCertify:
         )
         assert code == 0 and "pass (farkas condition)" in out
 
+    def test_emit_and_verify_only_are_exclusive(self, capsys, tmp_path):
+        # with both, the certificate would be verified and never written
+        cert_path, out_path = tmp_path / "c.json", tmp_path / "out.json"
+        run(capsys, "certify", "4", "--u", "1001", "--emit", str(cert_path))
+        argv = ["certify", "4", "--u", "1001", "--emit", str(out_path)]
+        code, out, err = run(capsys, *argv, "--verify-only", str(cert_path))
+        assert (code, out) == (64, "")
+        assert err == "usage error: argument --verify-only: not allowed with argument --emit\n"
+        assert not out_path.exists()
+
     def test_verify_only_bare_matrix_picks_condition(self, capsys, tmp_path):
         path = write_matrix(tmp_path / "m.json", perm_metric(Perm.identity(4)))
         code, out, _ = run(capsys, "certify", "4", "--u", "1001", "--verify-only", path)
