@@ -33,11 +33,10 @@ from .core import Perm, SymZMat, Word, conjugate, pair_index, pair_indices
 from .edge_theory import (
     HalfLinePair,
     NonEdgeWitness,
-    _FAILS,
-    _SYSTEMS,
     VerifyReport,
     _cut_side_failure,
     _cut_table,
+    _first_failure,
     classify,
     non_edge_witness,
     symmetry_transport,
@@ -201,8 +200,6 @@ def _lift_parts(base_cert: SymZMat, position: int, k: int) -> list[tuple[int, in
         else:
             ni = i if i <= la else i + k
             nj = j if j <= la else j + k
-        if ni > nj:
-            ni, nj = nj, ni
         stretch[pair_index(n2, ni, nj)] += v
     return list(zip(heavy, border, stretch))
 
@@ -346,27 +343,27 @@ def _search_lift(
     vectors, computed once, and the base's denominator d.  A cut_mask that
     failed the cut check is kept as the sums of H, B and S over the pairs it
     separates; a later candidate whose value there fails the cut relation, a
-    bound on its cut minimum, is skipped without a table.  Every other one
-    gets one cut table, built by the screen and read again by the verifier,
-    and is skipped if it fails or checked exhaustively, so the returned
-    certificate is proven; the passing report is returned with it, or the
-    last candidate's in the error.
+    bound on its cut minimum, is skipped before it is built.  Every other
+    one gets one cut table, built by the screen and read again by the
+    verifier, and is skipped if it fails or checked exhaustively, so the
+    returned certificate is proven; the passing report is returned with it,
+    or the last candidate's in the error.
     """
     parts = _lift_parts(cert, position, k)
     target = lifted_word(word, position, k)
     pair, n2 = _id_pair(target), target.n
-    fails_cut = _FAILS[dict(_SYSTEMS[condition])["cut"]]
     failing = []  # per remembered mask, the sums of H, B and S over the pairs it separates
     for t in range(MAX_DOUBLINGS + 1):
         for swapped in (False, True):
-            candidate = SymZMat.of_ints(n2, *_lift_ints(parts, cert.denom, t, swapped))
-            if any(fails_cut(v, 0) for v in _lift_ints(failing, cert.denom, t, swapped)[0]):
+            values = _lift_ints(failing, cert.denom, t, swapped)[0]
+            if any(_first_failure(condition, {"cut": v}) for v in values):
                 continue
+            candidate = SymZMat.of_ints(n2, *_lift_ints(parts, cert.denom, t, swapped))
             failure = _cut_side_failure(candidate, target, condition)
             if failure == "cut":
-                side = format(_cut_table(candidate, target)[1], f"0{n2}b")
-                pairs = enumerate(pair_indices(n2))
-                cross = [parts[x] for x, (i, j) in pairs if side[i - 1] != side[j - 1]]
+                side = Word.from_mask(n2, _cut_table(candidate, target)[1]).bits
+                pairs = zip(parts, pair_indices(n2))
+                cross = [p for p, (i, j) in pairs if side[i - 1] != side[j - 1]]
                 failing.append([sum(c) for c in zip(*cross)])
             if failure:
                 continue
@@ -377,7 +374,7 @@ def _search_lift(
                 if swapped:
                     step += ",signs=swapped"
                 return candidate, target, step, omega, eps, report
-    report = verify_certificate(candidate, pair, condition)
+    report = verify_certificate(lift(cert, word, position, k, MAX_DOUBLINGS, True), pair, condition)
     raise RuntimeError(
         f"lift search exhausted after {MAX_DOUBLINGS} doublings at word {word}, "
         f"position {position}, k={k}; last margins {report.margins_json()}"
@@ -443,8 +440,7 @@ def synthesize(pair: HalfLinePair) -> EdgeCertificate:
     sigma, idpair = symmetry_transport(pair)
     word = idpair.u.canonical()
     construction: list[str] = []
-    omega = Fraction(1)
-    epsilon = Fraction(1)
+    omega = epsilon = Fraction(1)
     report = None
 
     if word.slopes() == 1:
@@ -486,11 +482,10 @@ def synthesize(pair: HalfLinePair) -> EdgeCertificate:
         construction.append(f"conjugate:sigma={sigma}")
         if conjugate(cert, sigma.inverse()) != id_cert:
             raise AssertionError(f"transported certificate does not conjugate back under {sigma}")
-        moved_cut = sigma.preimage_of_set(report.cut_argmin.elements)
         report = replace(
             report,
             perm_argmin=report.perm_argmin.compose(sigma).canonical(),
-            cut_argmin=Word.from_set(word.n, moved_cut).canonical(),
+            cut_argmin=report.cut_argmin.compose(sigma).canonical(),
         )
     return EdgeCertificate(
         pair=pair,

@@ -151,7 +151,7 @@ def cmd_certify(args) -> tuple[int, dict, list[str]]:
         mat, condition = _load_matrix(args.verify_only, check_n)
         # only a missing or null condition tries both systems
         if condition is not None and condition not in _CONDITIONS:
-            raise _Usage(f"unknown condition {condition!r}")
+            raise _Usage(f"unknown condition {_quote(condition)}")
         conditions = _CONDITIONS if condition is None else [condition]
         report = None
         for cond in conditions:

@@ -50,8 +50,10 @@ def _decimal(text: str) -> Optional[int]:
         return None
 
 
-def _quote(text: str, show=repr) -> str:
-    """show(text) for an error message, cut after 40 characters."""
+def _quote(value, show=repr) -> str:
+    """show(value) for an error message, cut after 40 characters; a value
+    that is not a str is cut in its repr."""
+    text, show = (value, show) if isinstance(value, str) else (repr(value), str)
     if len(text) <= 40:
         return show(text)
     return f"{show(text[:40])}... ({len(text)} characters)"
@@ -123,8 +125,7 @@ def _int_tuple(values: Iterable, what: str) -> tuple[int, ...]:
         try:
             out.append(operator.index(v))
         except TypeError:
-            bad = _quote(repr(v), str)
-            raise ValueError(f"{what} entry {pos} is not an integer: {bad}") from None
+            raise ValueError(f"{what} entry {pos} is not an integer: {_quote(v)}") from None
     return tuple(out)
 
 
@@ -164,9 +165,6 @@ class Perm:
     def __call__(self, j: int) -> int:
         return self.images[j - 1]
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.images)
-
     def __repr__(self) -> str:
         return f"Perm({list(self.images)})"
 
@@ -196,9 +194,6 @@ class Perm:
         """Lexicographically smaller of the antipodal pair {pi, pi^-}."""
         anti = self.antipode()
         return self if self.images <= anti.images else anti
-
-    def image_of_set(self, elems: Iterable[int]) -> frozenset:
-        return frozenset(self(j) for j in elems)
 
     def preimage_of_set(self, elems: Iterable[int]) -> frozenset:
         inv = self.inverse()
@@ -231,7 +226,7 @@ class Word:
     def parse(cls, text: str) -> "Word":
         text = text.strip()
         if not text or any(c not in "01" for c in text):
-            raise ValueError(f"not a 0/1 word: {text!r}")
+            raise ValueError(f"not a 0/1 word: {_quote(text)}")
         return cls(int(c) for c in text)
 
     @classmethod
@@ -240,6 +235,12 @@ class Word:
         if any(j < 1 or j > n for j in elems):
             raise ValueError(f"elements out of [{n}]: {sorted(elems)}")
         return cls(1 if j in elems else 0 for j in range(1, n + 1))
+
+    @classmethod
+    def from_mask(cls, n: int, mask: int) -> "Word":
+        """The word of length n whose element j is bit n - j of mask, so the
+        word reads like the mask written in n binary digits."""
+        return cls([mask >> (n - j) & 1 for j in range(1, n + 1)])
 
     @property
     def n(self) -> int:
@@ -258,6 +259,12 @@ class Word:
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
+
+    def compose(self, sigma: Perm) -> "Word":
+        """The word of sigma^-1(U), that is U o sigma: j -> self(sigma(j))."""
+        if self.n != sigma.n:
+            raise ValueError("size mismatch")
+        return Word([self.bits[v - 1] for v in sigma.images])
 
     def complement(self) -> "Word":
         return Word(1 - b for b in self.bits)
@@ -315,9 +322,8 @@ def word_classes(n: int) -> Iterator[Word]:
     Representatives contain element 1, so there are 2^(n-1) - 1 of them,
     enumerated in increasing order of the remaining bits.
     """
-    for tail in range(2 ** (n - 1) - 1):
-        bits = [1] + [(tail >> (n - 2 - i)) & 1 for i in range(n - 1)]
-        yield Word(bits)
+    for mask in range(1 << (n - 1), (1 << n) - 1):
+        yield Word.from_mask(n, mask)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -462,21 +468,27 @@ class SymZMat:
 def parse_matrix_json(obj: dict) -> tuple[int, dict]:
     """(n, {(k, l): (p, q)}) from to_json's form, p/q read as parse_rat reads
     it, checked entry by entry but not yet a matrix, so a caller can refuse n
-    before the n(n-1)/2 entries are allocated.  n, k and l must be JSON
-    integers (not floats, booleans or strings), and each value a rational
-    string or a JSON integer."""
+    before the n(n-1)/2 entries are allocated.  entries is a list of [k, l,
+    value] lists, n, k and l JSON integers (not floats, booleans or strings),
+    and each value a rational string or a JSON integer."""
     if not isinstance(obj, dict) or "n" not in obj:
         raise ValueError("matrix JSON must be an object with 'n' and 'entries'")
     n = _json_int(obj["n"], "'n'")
+    items = obj.get("entries", [])
+    if type(items) is not list:
+        raise ValueError(f"matrix 'entries' must be a list, got {_quote(items)}")
     entries = {}
-    for pos, item in enumerate(obj.get("entries", []), start=1):
+    for pos, item in enumerate(items, start=1):
+        if type(item) is not list or len(item) != 3:
+            raise ValueError(f"matrix entry {pos} must be a [k, l, value] list, got {_quote(item)}")
         k, l, text = item
         key = (_json_int(k, f"'k' of entry {pos}"), _json_int(l, f"'l' of entry {pos}"))
         if key in entries:
             raise ValueError(f"duplicate matrix entry ({key[0]},{key[1]})")
         if type(text) is not str and type(text) is not int:
             raise ValueError(
-                f"matrix entry {pos} value must be a rational string or an integer, got {text!r}"
+                f"matrix entry {pos} value must be a rational string or an integer, "
+                f"got {_quote(text)}"
             )
         entries[key] = _rat_pair(str(text))
     return n, entries
@@ -484,7 +496,7 @@ def parse_matrix_json(obj: dict) -> tuple[int, dict]:
 
 def _json_int(value, field: str) -> int:
     if type(value) is not int:
-        raise ValueError(f"matrix field {field} must be an integer, got {value!r}")
+        raise ValueError(f"matrix field {field} must be an integer, got {_quote(value)}")
     return value
 
 

@@ -63,11 +63,6 @@ class HalfLinePair:
     def n(self) -> int:
         return self.pi.n
 
-    def canonical(self) -> "HalfLinePair":
-        """Representative of the four name variants: lex-smaller permutation
-        of the antipodal pair, subset containing element 1."""
-        return HalfLinePair(self.pi.canonical(), self.u.canonical())
-
     def to_json(self) -> dict:
         return {"pi": str(self.pi), "u": str(self.u)}
 
@@ -161,8 +156,8 @@ def _cut_table(d: SymZMat, u: Word):
     """d's cut values against the target u.  The last call's are kept, and
     read only, so a screen and the verify after it on one matrix share them.
 
-    Masks read like words: element j is bit n - j, so the word classes are
-    the masks 2^(n-1) .. 2^n - 2 in order.  Returns cut[S] = d.denom *
+    Masks read as Word.from_mask reads them, element j at bit n - j, so the
+    word classes are the masks 2^(n-1) .. 2^n - 2 in order.  Returns cut[S] = d.denom *
     D.M(chi^S) for every mask S, the first class other than u's minimising
     cut, and u's.  The table grows bit by bit: for S below bit i, with
     w = d.square() in bit order (both axes reversed),
@@ -244,7 +239,7 @@ def _margins(d: SymZMat, pi: Perm, u: Word):
         Fraction(perm_min, d.denom),
         perm_arg,
         Fraction(cut[cut_mask], d.denom),
-        Word.parse(format(cut_mask, f"0{n}b")),
+        Word.from_mask(n, cut_mask),
         Fraction(cut[target_mask], d.denom),
     )
 
@@ -257,6 +252,15 @@ _SYSTEMS = {
 _FAILS = {"<=": operator.le, "<": operator.lt, "!=": operator.ne, ">=": operator.ge}
 
 
+def _first_failure(condition: str, values: dict) -> Optional[tuple[str, str]]:
+    """The first of the system's checks on a margin in values that its value
+    fails, as (margin, relation), or None; the one reader of the rules above."""
+    for margin, rel in _SYSTEMS[condition]:
+        if margin in values and _FAILS[rel](values[margin], 0):
+            return margin, rel
+    return None
+
+
 def _cut_side_failure(d: SymZMat, u: Word, condition: str) -> Optional[str]:
     """The first of the system's "target" and "cut" checks that d fails for
     u, or None.  The cut table alone decides them, at any vertex, in O(2^n):
@@ -264,11 +268,8 @@ def _cut_side_failure(d: SymZMat, u: Word, condition: str) -> Optional[str]:
     """
     require_exhaustible(d.n)
     cut, cut_mask, target_mask = _cut_table(d, u)
-    values = {"cut": cut[cut_mask], "target": cut[target_mask]}
-    for margin, rel in _SYSTEMS[condition]:
-        if margin in values and _FAILS[rel](values[margin], 0):
-            return margin
-    return None
+    failure = _first_failure(condition, {"cut": cut[cut_mask], "target": cut[target_mask]})
+    return failure and failure[0]
 
 
 def verify_certificate(d: SymZMat, pair: HalfLinePair, condition: str) -> VerifyReport:
@@ -282,17 +283,15 @@ def verify_certificate(d: SymZMat, pair: HalfLinePair, condition: str) -> Verify
         raise ValueError("certificate verification needs n >= 3")
     require_exhaustible(pair.n)
     perm_min, perm_arg, cut_min, cut_arg, target = _margins(d, pair.pi, pair.u)
-    named = {
-        "perm": (perm_min, f"permutation {perm_arg}: margin"),
-        "cut": (cut_min, f"cut {cut_arg}: value"),
-        "target": (target, f"target cut {pair.u.canonical()}: value"),
-    }
     offender = None
-    for margin, rel in _SYSTEMS[condition]:
-        value, name = named[margin]
-        if _FAILS[rel](value, 0):
-            offender = f"{name} {value} {rel} 0"
-            break
+    failure = _first_failure(condition, {"perm": perm_min, "cut": cut_min, "target": target})
+    if failure:
+        margin, rel = failure
+        offender = {
+            "perm": f"permutation {perm_arg}: margin {perm_min}",
+            "cut": f"cut {cut_arg}: value {cut_min}",
+            "target": f"target cut {pair.u.canonical()}: value {target}",
+        }[margin] + f" {rel} 0"
     return VerifyReport(
         condition, offender is None, perm_min, cut_min, target, perm_arg, cut_arg, offender
     )
@@ -306,8 +305,7 @@ def symmetry_transport(pair: HalfLinePair) -> tuple[Perm, HalfLinePair]:
     and conversely via conjugate(-, sigma^-1).
     """
     sigma = pair.pi
-    moved = Word.from_set(pair.n, sigma.image_of_set(pair.u.elements))
-    return sigma, HalfLinePair(Perm.identity(pair.n), moved)
+    return sigma, HalfLinePair(Perm.identity(pair.n), pair.u.compose(sigma.inverse()))
 
 
 @dataclass(frozen=True)
@@ -359,14 +357,11 @@ def non_edge_witness(pair: HalfLinePair) -> NonEdgeWitness:
     """Produce and verify the conic identity for a non-edge pair."""
     pi = pair.pi
     n = pair.n
-    word_used = None
-    k = None
-    for w in (pair.u, pair.u.complement()):
-        k = over_the_ridge(pi, w)
+    for word_used in (pair.u, pair.u.complement()):
+        k = over_the_ridge(pi, word_used)
         if k is not None:
-            word_used = w
             break
-    if word_used is None:
+    else:
         raise ValueError(f"pair ({pair.pi}, {pair.u}) defines an edge; no ridge witness")
     inv = pi.inverse()
     swap = list(range(1, n + 1))

@@ -67,18 +67,6 @@ class OracleVerdict:
     dual_cut: Optional[dict] = None
     dual_target: Optional[Fraction] = None
 
-    def to_json(self) -> dict:
-        out = {"pair": self.pair.to_json(), "is_edge": self.is_edge}
-        if self.witness_matrix is not None:
-            out["witness_matrix"] = self.witness_matrix.to_json()
-        if self.dual_perm is not None:
-            out["dual"] = {
-                "perm": {str(p): str(v) for p, v in self.dual_perm.items()},
-                "cut": {str(w): str(v) for w, v in self.dual_cut.items()},
-                "target": str(self.dual_target),
-            }
-        return out
-
 
 def _upper(mat: SymZMat) -> list:
     return [Fraction(2 * a, mat.denom) for a in mat.ints]
@@ -275,10 +263,6 @@ def oracle_classify(pair: HalfLinePair) -> OracleVerdict:
         if mat is not None:
             mat = conjugate(mat, sigma)
         if dp is not None:
-            inv = sigma.inverse()
             dp = {tau.compose(sigma): y for tau, y in dp.items()}
-            dc = {
-                Word.from_set(n, inv.image_of_set(w.elements)): y
-                for w, y in dc.items()
-            }
+            dc = {w.compose(sigma): y for w, y in dc.items()}
     return OracleVerdict(pair, is_edge, mat, dp, dc, dt)

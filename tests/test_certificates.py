@@ -46,7 +46,6 @@ from linemetric import (
     word_classes,
 )
 from linemetric.certificates import BASE_NAMES, MAX_DOUBLINGS, _id_pair
-from linemetric.edge_theory import _FAILS, _SYSTEMS
 from test_acceptance import DISPATCH_BRANCH_WORDS
 
 
@@ -420,7 +419,39 @@ class TestSynthesize:
             report = verify_certificate(d, _id_pair(u), condition)
             assert not report.passed
             value = {"cut": report.cut_min, "target": report.target}[failure]
-            assert _FAILS[dict(_SYSTEMS[condition])[failure]](value, 0), (u, condition, failure)
+            assert edge_theory._first_failure(condition, {failure: value}), (u, condition, failure)
+
+    def test_every_built_candidate_is_screened(self, monkeypatch):
+        # a candidate the remembered masks reject is never built: every
+        # matrix the search builds reaches the cut-table screen
+        built, screened, searching = [], {}, [False]
+        of_ints, search = SymZMat.of_ints, certificates._search_lift
+        screen = certificates._cut_side_failure
+
+        def recording_of_ints(cls, *args):
+            m = of_ints(*args)
+            if searching[0]:
+                built.append(m)
+            return m
+
+        def recording_screen(d, u, condition):
+            screened[id(d)] = d
+            return screen(d, u, condition)
+
+        def recording_search(*args):
+            searching[0] = True
+            try:
+                return search(*args)
+            finally:
+                searching[0] = False
+
+        monkeypatch.setattr(SymZMat, "of_ints", classmethod(recording_of_ints))
+        monkeypatch.setattr(certificates, "_cut_side_failure", recording_screen)
+        monkeypatch.setattr(certificates, "_search_lift", recording_search)
+        for pair in screened_pairs():
+            synthesize(pair)
+        assert len(built) > 100
+        assert all(id(m) in screened for m in built)
 
     def test_screen_names_the_first_failing_cut_side_check(self):
         # the system's order decides between target and cut, and the perm

@@ -8,13 +8,14 @@ import dataclasses
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import linemetric.certificates as certificates
 import linemetric.cli as cli
 import linemetric.line_metrics as line_metrics
-from linemetric import Perm, SymZMat, Word, cut_metric, inner_product, perm_metric
+from linemetric import HalfLinePair, Perm, SymZMat, Word, cut_metric, inner_product, perm_metric
 from linemetric.cli import main
 
 
@@ -160,6 +161,23 @@ class TestCertify:
         assert code == 0 and out.startswith("pass (")
         code, out, _ = run(capsys, *argv, "--verify-only", str(out_path))
         assert code == 0 and out.startswith("pass (")
+
+    def test_exhausted_lift_search_exits_2(self, capsys, monkeypatch):
+        # a lift that never verifies is a verification failure, not a fault
+        verify = certificates.verify_certificate
+
+        def failing(d, pair, condition):
+            return dataclasses.replace(verify(d, pair, condition), passed=False, offender="planted")
+
+        monkeypatch.setattr(certificates, "verify_certificate", failing)
+        code, out, err = run(capsys, "certify", "5", "--u", "11001")
+        assert code == 2 and err == "" and out.count("\n") == 1
+        assert out.startswith("synthesis failed: lift search exhausted after 24 doublings ")
+        assert "last margins {" in out
+        code, out, err = run(capsys, "certify", "5", "--u", "11001", "--json")
+        assert code == 2 and err == ""
+        error = json.loads(out)["results"]["error"]
+        assert error.startswith("lift search exhausted after 24 doublings at word 1001")
 
     def test_default_vertex_is_identity(self, capsys):
         code, out, _ = run(capsys, "certify", "4", "--u", "1001")
@@ -444,8 +462,19 @@ class TestUnreadableInput:
             ('{"n": 2, "entries": [[1, 2, "1/0"]]}', "Fraction(1, 0)"),
             ('{"n": 1e400}', "matrix field 'n' must be an integer, got inf"),
             ("[" * 100000 + "]" * 100000, "maximum recursion depth exceeded"),
+            # entries must be a list of [k, l, value] lists
+            ('{"n": 4, "entries": {}}', "matrix 'entries' must be a list, got {}\n"),
+            ('{"n": 4, "entries": null}', "matrix 'entries' must be a list, got None\n"),
+            (
+                '{"n": 4, "entries": [[1, 2]]}',
+                "matrix entry 1 must be a [k, l, value] list, got [1, 2]\n",
+            ),
+            (
+                '{"n": 4, "entries": [[1, 2, "1"], "12x"]}',
+                "matrix entry 2 must be a [k, l, value] list, got '12x'\n",
+            ),
         ],
-        ids=["zero-denominator", "overflow", "nesting"],
+        ids=["zero-denominator", "overflow", "nesting", "object", "null", "pair", "string"],
     )
     def test_bad_matrix_file(self, capsys, tmp_path, command, text, reason):
         path = tmp_path / "m.json"
@@ -495,6 +524,13 @@ class TestUnreadableInput:
             "a rational string or an integer, got 0.12345678901234568\n"
         )
 
+    def test_omitted_entries_are_zero(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"n": 4}')
+        code, out, err = run(capsys, "check-metric", "--matrix", str(path), "--json")
+        assert code == 0 and err == ""
+        assert json.loads(out)["results"]["min_entry"] == {"pair": [1, 2], "value": "0"}
+
     def test_non_string_condition(self, capsys, tmp_path):
         # only a missing or null condition tries both systems; a falsy one is refused
         path = tmp_path / "c.json"
@@ -543,6 +579,27 @@ class TestCrosscheck:
         code, out, _ = run(capsys, "crosscheck", "4", "--oracle", "--json")
         obj = json.loads(out)
         assert obj["results"]["oracle"]["agree"] == 84
+
+    def test_disagreement_is_listed_and_fails(self, capsys, monkeypatch):
+        oracle = cli.oracle_classify
+        planted = HalfLinePair(Perm.identity(4), Word.parse("1001"))
+
+        def flipped(pair):
+            verdict = oracle(pair)
+            if pair == planted:
+                verdict = dataclasses.replace(verdict, is_edge=not verdict.is_edge)
+            return verdict
+
+        monkeypatch.setattr(cli, "oracle_classify", flipped)
+        code, out, err = run(capsys, "crosscheck", "4", "--oracle")
+        assert (code, out, err) == (2, "pairs: 84 canonical; agree: 83/84\nresult: FAIL\n", "")
+        code, out, err = run(capsys, "crosscheck", "4", "--oracle", "--json")
+        assert code == 2 and err == ""
+        assert json.loads(out)["results"]["oracle"] == {
+            "pairs": 84,
+            "agree": 83,
+            "disagreements": [{"pi": "1,2,3,4", "u": "1001"}],
+        }
 
 
 class TestUsage:
@@ -637,11 +694,11 @@ class TestLongTokens:
     # the token after 40 characters
     LONG = "9" * 5000
 
-    def check(self, code, out, err, name):
+    def check(self, code, out, err, name, length=5000):
         assert code == 64 and out == ""
         assert err.count("\n") == 1 and err.startswith("usage error: ")
         assert name in err and "_positional_n" not in err
-        assert "(5000 characters)" in err and len(err) < 200
+        assert f"({length} characters)" in err and len(err) < 200
 
     def test_positional_n(self, capsys):
         self.check(*run(capsys, "edges", self.LONG), "N must be a decimal integer")
@@ -653,6 +710,34 @@ class TestLongTokens:
     def test_max_n(self, capsys, monkeypatch):
         monkeypatch.setenv("LINEMETRIC_MAX_N", self.LONG)
         self.check(*run(capsys, "edges", "4"), "LINEMETRIC_MAX_N must be an integer")
+
+    def test_word(self, capsys):
+        self.check(*run(capsys, "certify", "4", "--u", "2" * 5000), "not a 0/1 word: '2222")
+
+    @pytest.mark.parametrize(
+        "obj,name,length",
+        [
+            ({"n": LONG, "entries": []}, "matrix field 'n' must be an integer", 5000),
+            ({"n": 4, "entries": [[LONG, 2, "1"]]}, "'k' of entry 1 must be an integer", 5000),
+            ({"n": 4, "entries": LONG}, "matrix 'entries' must be a list", 5000),
+            ({"n": 4, "entries": [[1, 2, "1", LONG]]}, "matrix entry 1 must be a [k, l", 5015),
+            ({"n": 4, "entries": [[1, 2, [0] * 2000]]}, "matrix entry 1 value must be", 6000),
+        ],
+        ids=["n", "k", "entries", "entry", "value"],
+    )
+    def test_matrix_file(self, capsys, tmp_path, monkeypatch, obj, name, length):
+        monkeypatch.chdir(tmp_path)
+        Path("m.json").write_text(json.dumps(obj))
+        verify_only = ["certify", "4", "--u", "1001", "--verify-only"]
+        for argv in (["check-metric", "--matrix"], verify_only):
+            self.check(*run(capsys, *argv, "m.json"), name, length)
+
+    def test_condition(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        obj = {"matrix": perm_metric(Perm.identity(4)).to_json(), "condition": self.LONG}
+        Path("c.json").write_text(json.dumps(obj))
+        argv = ["certify", "4", "--u", "1001", "--verify-only", "c.json"]
+        self.check(*run(capsys, *argv), "unknown condition '9999")
 
     def test_permutation_image(self, capsys):
         # 4000 digits pass int(); the image tuple that is not a bijection is cut

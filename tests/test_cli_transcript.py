@@ -179,6 +179,9 @@ def _cases() -> list:
     cases.append((["check-metric", "--matrix", "id13.json", "--spreading"], "13"))
     cases.append((["certify", "13", "--u", "1010000000000"], "13"))
     cases.append((["crosscheck", "7", "--oracle"], "5"))
+    # --verify-only on non-edges: the verdict names the ridge, from pi and from pi-
+    for u in ("1101", "0010"):
+        cases += _both("certify", "4", "--u", u, "--verify-only", "id4.json")
     return cases
 
 

@@ -6,6 +6,8 @@ Claims covered:
       and is an isometry of the inner product, by property testing too
     - antipode is an involution and leaves the embedded metric unchanged
     - word structure (slopes, hills, valleys, alternating) reads off the runs
+    - a word read from a mask reads like the mask's binary digits, and
+      relabelling a word by sigma relabels its cut metric as conjugation does
     - text and JSON forms round-trip exactly; matrix JSON indices are integers
       and values are rational strings or integers, never floats
     - every matrix is one tuple of ints over one positive denominator in
@@ -30,6 +32,7 @@ from linemetric import (
     SymZMat,
     Word,
     conjugate,
+    cut_metric,
     embed,
     inner_product,
     lift,
@@ -194,6 +197,26 @@ class TestWord:
             "1101",
             "1110",
         ]
+        # the order of the bit loop word_classes ran before Word.from_mask
+        for n in range(2, 11):
+            reference = [
+                Word([1] + [(tail >> (n - 2 - i)) & 1 for i in range(n - 1)])
+                for tail in range(2 ** (n - 1) - 1)
+            ]
+            assert list(word_classes(n)) == reference
+
+    def test_from_mask_reads_like_binary_digits(self):
+        for n in range(1, 11):
+            for mask in range(1 << n):
+                assert Word.from_mask(n, mask) == Word.parse(format(mask, f"0{n}b"))
+
+    def test_compose(self):
+        # element j of U o sigma is element sigma(j) of U
+        sigma = Perm.parse("2,3,1,4")
+        assert Word.parse("0110").compose(sigma) == Word.parse("1100")
+        assert Word.parse("0110").compose(Perm.identity(4)) == Word.parse("0110")
+        with pytest.raises(ValueError, match="size mismatch"):
+            Word.parse("011").compose(sigma)
 
     @pytest.mark.parametrize("bits", [[0.5, 1, 1], [1, Fraction(1, 2), 0], ["0", 1, 1]])
     def test_rejects_non_integers(self, bits):
@@ -392,6 +415,18 @@ def test_property_conjugation_is_an_isometry(a, data):
     b = draw_like(data, a)
     sigma = Perm(data.draw(st.permutations(range(1, a.n + 1))))
     assert inner_product(conjugate(a, sigma), conjugate(b, sigma)) == inner_product(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_property_word_compose_is_relabelling(data):
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    u = Word(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    sigma = Perm(data.draw(st.permutations(range(1, n + 1))))
+    assert u.compose(sigma) == Word.from_set(n, sigma.preimage_of_set(u.elements))
+    assert u.compose(sigma).compose(sigma.inverse()) == u
+    if u.is_proper():
+        assert cut_metric(u.compose(sigma)) == conjugate(cut_metric(u), sigma)
 
 
 def assert_lowest_terms(m):
