@@ -17,23 +17,13 @@ from .core import (
     perm_classes,
     word_classes,
 )
-from .permutahedron import (
-    facet_rhs,
-    in_normal_cone,
-    incident,
-    incident_sets,
-    over_ridge_sets,
-    over_the_ridge,
-    perm_vertex,
-    polar_vertex,
-)
+from .permutahedron import incident, incident_sets, over_the_ridge
 from .line_metrics import (
     LineMetric,
     SpreadingReport,
     SpreadingViolation,
     analyze_metric,
     cut_metric,
-    decomposition_cone_check,
     embed,
     perm_metric,
     qn_facet_value,

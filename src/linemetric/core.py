@@ -195,9 +195,6 @@ class Perm:
         anti = self.antipode()
         return self if self.images <= anti.images else anti
 
-    def preimage_of_set(self, elems: Iterable[int]) -> frozenset:
-        inv = self.inverse()
-        return frozenset(inv(v) for v in elems)
 
 
 def perm_classes(n: int) -> Iterator[Perm]:
@@ -243,6 +240,11 @@ class Word:
         return cls([mask >> (n - j) & 1 for j in range(1, n + 1)])
 
     @property
+    def mask(self) -> int:
+        """The inverse of from_mask: element j at bit n - j."""
+        return int(str(self), 2)
+
+    @property
     def n(self) -> int:
         return len(self.bits)
 
@@ -285,20 +287,6 @@ class Word:
     def slopes(self) -> int:
         self._require_proper()
         return sum(1 for k in range(self.n - 1) if self.bits[k] != self.bits[k + 1])
-
-    def hills(self) -> list[tuple[int, int]]:
-        """Maximal runs of 1s as closed 1-based intervals (start, end)."""
-        self._require_proper()
-        return [(start, end) for b, start, end in self.runs() if b == 1]
-
-    def valleys(self) -> list[tuple[int, int]]:
-        """Maximal runs of 0s as closed 1-based intervals (start, end)."""
-        self._require_proper()
-        return [(start, end) for b, start, end in self.runs() if b == 0]
-
-    def is_alternating(self) -> bool:
-        self._require_proper()
-        return self.slopes() == self.n - 1
 
     def runs(self) -> list[tuple[int, int, int]]:
         """All maximal runs left to right as (value, start, end)."""
@@ -369,10 +357,6 @@ class SymZMat:
         return m
 
     @classmethod
-    def zero(cls, n: int) -> "SymZMat":
-        return cls(n)
-
-    @classmethod
     def from_rows(cls, rows: Sequence[Sequence[RatLike]]) -> "SymZMat":
         n = len(rows)
         if any(len(r) != n for r in rows):
@@ -398,9 +382,6 @@ class SymZMat:
         if k > l:
             k, l = l, k
         return Fraction(self.ints[pair_index(self.n, k, l)], self.denom)
-
-    def rows(self) -> list[list[Fraction]]:
-        return [[self.get(k, l) for l in range(1, self.n + 1)] for k in range(1, self.n + 1)]
 
     def square(self) -> list[list[int]]:
         """The dense n x n rows of ints: entry (k, l) times denom at [k-1][l-1].
@@ -445,11 +426,6 @@ class SymZMat:
             if a
         ]
         return {"n": self.n, "entries": triples}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SymZMat":
-        """Read to_json's form, as parse_matrix_json reads it."""
-        return cls.of_pairs(*parse_matrix_json(obj))
 
     @classmethod
     def of_pairs(cls, n: int, entries: dict) -> "SymZMat":

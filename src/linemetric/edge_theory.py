@@ -171,7 +171,7 @@ def _cut_table(d: SymZMat, u: Word):
         base = 2 * sum(row)
         cut += [c + base - 4 * t for c, t in zip(cut, subset_sums(row[:i]))]
 
-    target_mask = int(str(u.canonical()), 2)
+    target_mask = u.canonical().mask
     # the first minimiser of the classes below the target, then above it
     value, start, stop = min(
         (min(cut[start:stop]), start, stop)

@@ -6,7 +6,9 @@ all off-diagonal entries are >= 1.  The separated metrics decompose into
 n!/2 disjoint translated simplicial cones, one per antipodal pair of
 permutations; the functions here recover embeddings, decide membership,
 and evaluate the two families of valid inequalities used downstream
-(spreading inequalities and the bounded-facet inequality).
+(spreading inequalities and the bounded-facet inequality).  The tests
+check the decomposition's cone translation identity itself, against the
+reference in tests/test_geometry_reference.py.
 """
 
 from __future__ import annotations
@@ -108,35 +110,6 @@ def _separated(x: tuple[Fraction, ...]) -> Optional[tuple[Perm, tuple[Fraction, 
     if canon != pi:
         return canon, tuple(-v for v in x)
     return pi, tuple(x)
-
-
-def decomposition_cone_check(x: Sequence[RatLike], pi: Perm) -> bool:
-    """Self-test of the cone translation identity R_n cap N_pi = v_pi + N_pi.
-
-    Evaluates both sides on x and reports whether they agree; the
-    decomposition result says this is True for every x in the hyperplane.
-    Denominators are cleared once so the comparisons run on plain integers.
-    """
-    n = pi.n
-    if len(x) != n:
-        raise ValueError("size mismatch")
-    if sum(x) != 0:
-        raise ValueError(f"point is not in the zero-sum hyperplane: {list(x)}")
-    # an int's denominator is 1, so ints and Fractions share this path
-    scale = 2 * math.lcm(*(v.denominator for v in x))
-    xs = [int(v * scale) for v in x]
-    # 2 v_pi scaled by scale/2 stays integral for every parity of n
-    vp = [(2 * pi(j) - (n + 1)) * (scale // 2) for j in range(1, n + 1)]
-    order = [0] * n
-    for j, img in enumerate(pi.images):
-        order[img - 1] = j
-    in_cone = all(xs[order[r]] <= xs[order[r + 1]] for r in range(n - 1))
-    lhs = in_cone and all(
-        abs(xs[k] - xs[l]) >= scale for k in range(n) for l in range(k + 1, n)
-    )
-    ys = [a - b for a, b in zip(xs, vp)]
-    rhs = all(ys[order[r]] <= ys[order[r + 1]] for r in range(n - 1))
-    return lhs == rhs
 
 
 @dataclass(frozen=True)

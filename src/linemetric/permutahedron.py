@@ -1,32 +1,17 @@
-"""Combinatorics of the centered permutahedron in the zero-sum hyperplane.
+"""Vertex-facet combinatorics of the permutahedron, as the classifier uses it.
 
-The permutahedron here is translated so that it is full-dimensional in
-Lambda = {x : sum x_j = 0} and symmetric about the origin.  Vertices
-correspond to permutations, facets to proper nonempty subsets of [n], and
-the normal fan at a vertex is a simplicial cone described by coordinate
-comparisons.
+Vertices correspond to permutations and facets to proper nonempty subsets of
+[n].  The module holds only incidence (incident, incident_sets) and the
+over-the-ridge test; the geometry they stand for (vertex and polar-vertex
+coordinates, facet values, normal cones) is the tests' reference, in
+tests/test_geometry_reference.py.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-from .core import Perm, RatLike, Word
-
-
-def perm_vertex(pi: Perm) -> tuple[Fraction, ...]:
-    """Vertex of the centered permutahedron: v_j = pi(j) - (n+1)/2."""
-    shift = Fraction(pi.n + 1, 2)
-    return tuple(Fraction(v) - shift for v in pi.images)
-
-
-def facet_rhs(u: Word) -> int:
-    """Right-hand side of the facet inequality sum_{j in U} x_j >= C(|U|+1, 2)
-    for the permutahedron in its untranslated coordinates."""
-    _require_proper(u)
-    return math.comb(u.size + 1, 2)
+from .core import Perm, Word
 
 
 def incident(pi: Perm, u: Word) -> bool:
@@ -67,43 +52,3 @@ def over_the_ridge(pi: Perm, u: Word) -> Optional[int]:
     if values == list(range(1, k)) + [k + 1]:
         return k
     return None
-
-
-def over_ridge_sets(pi: Perm) -> list[Word]:
-    """All n-1 over-the-ridge sets from pi, indexed by k = 1..n-1."""
-    inv = pi.inverse()
-    out = []
-    for k in range(1, pi.n):
-        elems = {inv(i) for i in range(1, k)} | {inv(k + 1)}
-        out.append(Word.from_set(pi.n, elems))
-    return out
-
-
-def polar_vertex(u: Word) -> tuple[Fraction, ...]:
-    """Vertex of the polar dual named by U:
-    w_U = 2/(n(n-k)) chi^(complement U) - 2/(kn) chi^U with k = |U|."""
-    _require_proper(u)
-    n, k = u.n, u.size
-    pos = Fraction(2, n * (n - k))
-    neg = Fraction(-2, k * n)
-    return tuple(neg if b else pos for b in u.bits)
-
-
-def in_normal_cone(x: Sequence[RatLike], pi: Perm) -> bool:
-    """Membership of x in the normal cone at the vertex of pi.
-
-    Requires x in Lambda (zero coordinate sum); the cone is x_k <= x_l
-    whenever pi(k) < pi(l), checked on consecutive ranks.
-    """
-    x = [Fraction(v) for v in x]
-    if len(x) != pi.n:
-        raise ValueError("size mismatch")
-    if sum(x) != 0:
-        raise ValueError(f"point is not in the zero-sum hyperplane: {x}")
-    inv = pi.inverse()
-    return all(x[inv(r) - 1] <= x[inv(r + 1) - 1] for r in range(1, pi.n))
-
-
-def _require_proper(u: Word):
-    if not u.is_proper():
-        raise ValueError(f"word {u} must be proper and nonempty")

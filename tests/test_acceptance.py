@@ -27,7 +27,6 @@ from linemetric import (
     base_certificate,
     classify,
     cut_metric,
-    decomposition_cone_check,
     embed,
     enumerate_edges_at,
     incident_sets,
@@ -36,8 +35,6 @@ from linemetric import (
     oracle_classify,
     perm_classes,
     perm_metric,
-    perm_vertex,
-    polar_vertex,
     separated_membership,
     spreading_check,
     synthesize,
@@ -45,6 +42,7 @@ from linemetric import (
     word_classes,
 )
 from linemetric.oracle import _decide_at_vertex
+from test_geometry_reference import decomposition_cone_check, perm_vertex, polar_vertex
 
 
 def id_pair(u_text):

@@ -46,7 +46,9 @@ from linemetric import (
     word_classes,
 )
 from linemetric.certificates import BASE_NAMES, MAX_DOUBLINGS, _id_pair
+from linemetric.core import parse_matrix_json
 from test_acceptance import DISPATCH_BRANCH_WORDS
+from test_geometry_reference import preimage_of_set
 
 
 def unscreened_search_lift(cert, word, position, k, condition):
@@ -93,7 +95,7 @@ class TestBaseLibrary:
         }
 
     def test_c1001_rows(self):
-        assert base_certificate("C_1001").matrix.rows() == [
+        assert base_certificate("C_1001").matrix.square() == [
             [0, 1, -2, 1],
             [1, 0, 3, -2],
             [-2, 3, 0, 1],
@@ -101,8 +103,8 @@ class TestBaseLibrary:
         ]
 
     def test_named_first_rows(self):
-        assert base_certificate("C_10101").matrix.rows()[0] == [0, 0, 3, -2, -1]
-        assert base_certificate("C_101010").matrix.rows()[0] == [0, 0, 1, -1, 0, 0]
+        assert base_certificate("C_10101").matrix.square()[0] == [0, 0, 3, -2, -1]
+        assert base_certificate("C_101010").matrix.square()[0] == [0, 0, 1, -1, 0, 0]
 
     def test_10110_symmetry_resolution(self):
         m = base_certificate("C_10110").matrix
@@ -141,7 +143,7 @@ class TestLift:
         # expanding the leading hill of 1001 by one with omega = epsilon = 1
         got = lift(base_certificate("C_1001").matrix, Word.parse("1001"), position=1, k=1, t=0)
         assert lifted_word(Word.parse("1001"), position=1, k=1) == Word.parse("11001")
-        assert got.rows() == [
+        assert got.square() == [
             [0, 1, -1, -1, -1],
             [1, 0, 2, -1, 2],
             [-1, 2, 0, 3, -2],
@@ -285,7 +287,7 @@ class TestSynthesize:
         base_u = Word.parse("10010")
         for images in itertools.permutations(range(1, 6)):
             sigma = Perm(images)
-            pair = HalfLinePair(sigma, Word.from_set(5, sigma.preimage_of_set(base_u.elements)))
+            pair = HalfLinePair(sigma, Word.from_set(5, preimage_of_set(sigma, base_u.elements)))
             cert = synthesize(pair)
             assert cert.report.passed
             if not sigma.is_identity():
@@ -310,7 +312,7 @@ class TestSynthesize:
             "margins",
         }
         assert obj["omega"] == "4" and obj["epsilon"] == "1/4"
-        assert SymZMat.from_json(obj["matrix"]) == cert.matrix
+        assert SymZMat.of_pairs(*parse_matrix_json(obj["matrix"])) == cert.matrix
 
     def test_search_cap_failure_is_diagnosed(self, monkeypatch):
         # a lift that no omega/epsilon makes verify must fail loudly once the
@@ -370,7 +372,7 @@ class TestSynthesize:
         for text in [*DISPATCH_BRANCH_WORDS, "1010101", "10101010", "10101001"]:
             n = len(text)
             pi = Perm([*range(2, n + 1), 1])
-            u = Word.from_set(n, pi.preimage_of_set(Word.parse(text).elements))
+            u = Word.from_set(n, preimage_of_set(pi, Word.parse(text).elements))
             calls.clear()
             cert = synthesize(HalfLinePair(pi, u))
             assert cert.construction[-1] == f"conjugate:sigma={pi}"

@@ -17,6 +17,7 @@ import linemetric.cli as cli
 import linemetric.line_metrics as line_metrics
 from linemetric import HalfLinePair, Perm, SymZMat, Word, cut_metric, inner_product, perm_metric
 from linemetric.cli import main
+from linemetric.core import parse_matrix_json
 
 
 def run(capsys, *argv):
@@ -207,7 +208,7 @@ class TestCertify:
         path = tmp_path / "cert.json"
         run(capsys, *argv, "--emit", str(path))
         obj = json.loads(path.read_text())
-        mat = SymZMat.from_json(obj["matrix"]).scale(-1)
+        mat = SymZMat.of_pairs(*parse_matrix_json(obj["matrix"])).scale(-1)
         obj["matrix"] = mat.to_json()
         path.write_text(json.dumps(obj))
         code, out, _ = run(capsys, *argv, "--verify-only", str(path))

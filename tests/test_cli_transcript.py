@@ -25,6 +25,7 @@ from pathlib import Path
 from linemetric import HalfLinePair, Perm, SymZMat, Word, synthesize
 from linemetric.certificates import base_certificate
 from linemetric.cli import main
+from linemetric.core import parse_matrix_json
 from linemetric.line_metrics import cut_metric, embed, perm_metric
 
 TRANSCRIPT = Path(__file__).parent / "data" / "cli_transcript.jsonl"
@@ -48,7 +49,7 @@ def write_inputs() -> None:
         Path(name).write_text(json.dumps(mat.to_json()))
     # a certificate whose matrix is negated fails its own pair
     cert = synthesize(HalfLinePair(Perm.parse("2,4,1,3,6,5"), Word.parse("011010"))).to_json()
-    cert["matrix"] = SymZMat.from_json(cert["matrix"]).scale(-1).to_json()
+    cert["matrix"] = SymZMat.of_pairs(*parse_matrix_json(cert["matrix"])).scale(-1).to_json()
     Path("negated.json").write_text(json.dumps(cert))
     dup = base_certificate("C_1001").matrix.to_json()
     dup["entries"].append([1, 3, "5"])

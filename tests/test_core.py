@@ -5,7 +5,8 @@ Claims covered:
     - conjugation realizes relabeling: conjugate(M(x), sigma) = M(x o sigma),
       and is an isometry of the inner product, by property testing too
     - antipode is an involution and leaves the embedded metric unchanged
-    - word structure (slopes, hills, valleys, alternating) reads off the runs
+    - a word's slopes and runs read off its bits; the empty and full words
+      have no slopes
     - a word read from a mask reads like the mask's binary digits, and
       relabelling a word by sigma relabels its cut metric as conjugation does
     - text and JSON forms round-trip exactly; matrix JSON indices are integers
@@ -40,7 +41,9 @@ from linemetric import (
     perm_metric,
 )
 import linemetric
-from linemetric.core import pair_indices, perm_classes, word_classes
+from linemetric.core import pair_indices, parse_matrix_json, perm_classes, word_classes
+from test_geometry_reference import preimage_of_set
+from test_readme import tour_source
 
 
 def rand_matrix(rnd, n):
@@ -153,14 +156,10 @@ class TestWord:
     def test_structure_1001(self):
         w = Word.parse("1001")
         assert w.slopes() == 2
-        assert w.hills() == [(1, 1), (4, 4)]
-        assert w.valleys() == [(2, 3)]
-        assert not w.is_alternating()
 
     def test_structure_10101_alternating(self):
         w = Word.parse("10101")
         assert w.slopes() == 4
-        assert w.is_alternating()
 
     def test_structure_1110(self):
         assert Word.parse("1110").slopes() == 1
@@ -168,9 +167,8 @@ class TestWord:
     def test_structure_rejects_empty_and_full(self):
         for text in ("000", "111"):
             w = Word.parse(text)
-            for structure in (w.slopes, w.hills, w.valleys, w.is_alternating):
-                with pytest.raises(ValueError):
-                    structure()
+            with pytest.raises(ValueError):
+                w.slopes()
 
     def test_slopes_complement_invariant(self):
         rnd = random.Random(5)
@@ -209,6 +207,13 @@ class TestWord:
         for n in range(1, 11):
             for mask in range(1 << n):
                 assert Word.from_mask(n, mask) == Word.parse(format(mask, f"0{n}b"))
+
+    def test_mask_inverts_from_mask(self):
+        for n in range(1, 9):
+            for bits in itertools.product((0, 1), repeat=n):
+                w = Word(bits)
+                assert Word.from_mask(n, w.mask) == w
+            assert [w.mask for w in word_classes(n)] == list(range(1 << (n - 1), (1 << n) - 1))
 
     def test_compose(self):
         # element j of U o sigma is element sigma(j) of U
@@ -252,13 +257,13 @@ class TestSymZMat:
 
     def test_json_roundtrip(self):
         m = SymZMat(3, {(1, 2): Fraction(1, 3), (2, 3): -2})
-        again = SymZMat.from_json(json.loads(json.dumps(m.to_json())))
+        again = SymZMat.of_pairs(*parse_matrix_json(json.loads(json.dumps(m.to_json()))))
         assert again == m
 
     def test_json_rejects_duplicate_entries(self):
         obj = {"n": 3, "entries": [[1, 2, "1"], [2, 3, "4"], [1, 2, "-5"]]}
         with pytest.raises(ValueError, match=r"duplicate matrix entry \(1,2\)"):
-            SymZMat.from_json(obj)
+            SymZMat.of_pairs(*parse_matrix_json(obj))
 
     @pytest.mark.parametrize(
         "obj,field",
@@ -275,7 +280,7 @@ class TestSymZMat:
     def test_json_indices_must_be_integers(self, obj, field):
         # int() would read each of these as a different, valid-looking matrix
         with pytest.raises(ValueError, match=f"^matrix field {field} must be an integer, got "):
-            SymZMat.from_json(obj)
+            SymZMat.of_pairs(*parse_matrix_json(obj))
 
     @pytest.mark.parametrize(
         "value", [0.12345678901234567891, 1e-400, 0.5, 2.0, True, False, None, [1]]
@@ -287,11 +292,11 @@ class TestSymZMat:
         with pytest.raises(
             ValueError, match=r"^matrix entry 2 value must be a rational string or an integer, got "
         ):
-            SymZMat.from_json(obj)
+            SymZMat.of_pairs(*parse_matrix_json(obj))
 
     def test_json_values_may_be_integers(self):
         obj = {"n": 3, "entries": [[1, 2, 3], [1, 3, -12345678901234567891], [2, 3, "7/4"]]}
-        assert SymZMat.from_json(obj) == SymZMat(
+        assert SymZMat.of_pairs(*parse_matrix_json(obj)) == SymZMat(
             3, {(1, 2): 3, (1, 3): -12345678901234567891, (2, 3): Fraction(7, 4)}
         )
 
@@ -310,7 +315,7 @@ class TestSymZMat:
         m = SymZMat(3, {(1, 2): Fraction(1, 2), (1, 3): Fraction(2, 3)})
         assert (m.ints, m.denom) == ((3, 4, 0), 6)
         assert (m.scale(6).ints, m.scale(6).denom) == ((3, 4, 0), 1)
-        assert (SymZMat.zero(3).ints, SymZMat.zero(3).denom) == ((0, 0, 0), 1)
+        assert (SymZMat(3).ints, SymZMat(3).denom) == ((0, 0, 0), 1)
 
     def test_equal_however_built(self):
         halves = SymZMat(3, {(1, 2): Fraction(2, 4), (2, 3): 1})
@@ -321,7 +326,7 @@ class TestSymZMat:
 
 class TestInnerProduct:
     def test_zero_matrix(self):
-        z = SymZMat.zero(4)
+        z = SymZMat(4)
         assert inner_product(z, perm_metric(Perm.identity(4))) == 0
 
     def test_certificate_against_its_cut(self):
@@ -338,7 +343,7 @@ class TestInnerProduct:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            inner_product(SymZMat.zero(3), SymZMat.zero(4))
+            inner_product(SymZMat(3), SymZMat(4))
 
     def test_symmetric_bilinear(self):
         rnd = random.Random(6)
@@ -391,7 +396,7 @@ class TestConjugate:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            conjugate(SymZMat.zero(3), Perm.identity(4))
+            conjugate(SymZMat(3), Perm.identity(4))
 
 
 @st.composite
@@ -405,8 +410,8 @@ def sym_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(sym_matrices())
 def test_property_json_roundtrip(m):
-    assert SymZMat.from_json(m.to_json()) == m
-    assert SymZMat.from_json(json.loads(json.dumps(m.to_json()))) == m
+    assert SymZMat.of_pairs(*parse_matrix_json(m.to_json())) == m
+    assert SymZMat.of_pairs(*parse_matrix_json(json.loads(json.dumps(m.to_json())))) == m
 
 
 @settings(max_examples=150, deadline=None)
@@ -423,7 +428,7 @@ def test_property_word_compose_is_relabelling(data):
     n = data.draw(st.integers(min_value=1, max_value=8))
     u = Word(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     sigma = Perm(data.draw(st.permutations(range(1, n + 1))))
-    assert u.compose(sigma) == Word.from_set(n, sigma.preimage_of_set(u.elements))
+    assert u.compose(sigma) == Word.from_set(n, preimage_of_set(sigma, u.elements))
     assert u.compose(sigma).compose(sigma.inverse()) == u
     if u.is_proper():
         assert cut_metric(u.compose(sigma)) == conjugate(cut_metric(u), sigma)
@@ -445,7 +450,7 @@ scalars = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 @given(sym_matrices(), st.data())
 def test_property_representation(m, data):
     assert_lowest_terms(m)
-    assert_lowest_terms(SymZMat.from_json(m.to_json()))
+    assert_lowest_terms(SymZMat.of_pairs(*parse_matrix_json(m.to_json())))
     other = draw_like(data, m)
     c = data.draw(scalars)
     sigma = Perm(data.draw(st.permutations(range(1, m.n + 1))))
@@ -520,3 +525,36 @@ def test_no_float_in_source():
     assert found == []
     # the guard itself sees each form
     assert len(float_uses("x = 0.5\ny = float(x)\nz = math.sqrt(2)\nfrom math import fsum")) == 4
+
+
+def code_names(node) -> set[str]:
+    """The names and attribute names that node's code uses; docstrings,
+    strings and import lists do not count."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_export_is_used():
+    # an export that only the tests use belongs in the tests
+    package = Path(linemetric.__file__).parent
+    init = ast.parse((package / "__init__.py").read_text())
+    exports = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.parse(path.read_text()).body:
+                # a definition's uses of its own name do not count
+                used |= code_names(node) - {getattr(node, "name", None)}
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    for path in perfbench.glob("*.py"):
+        used |= code_names(ast.parse(path.read_text()))
+    used |= code_names(ast.parse(tour_source()))
+    assert sorted(exports - used) == []

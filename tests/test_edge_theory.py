@@ -37,6 +37,7 @@ from linemetric import (
     verify_certificate,
     word_classes,
 )
+from test_geometry_reference import preimage_of_set
 
 
 def pair_of(pi_text, u_text):
@@ -80,7 +81,7 @@ class TestClassify:
                 for pi in perms:
                     base = classify(HalfLinePair(pi, u))
                     for sigma in perms:
-                        moved = Word.from_set(n, sigma.preimage_of_set(u.elements))
+                        moved = Word.from_set(n, preimage_of_set(sigma, u.elements))
                         v = classify(HalfLinePair(pi.compose(sigma), moved))
                         assert v.is_edge == base.is_edge
                         assert v.reason == base.reason
@@ -114,12 +115,12 @@ class TestVerifiers:
         assert rep.passed and rep.target == -12
 
     def test_zero_matrix_fails_both(self):
-        z = SymZMat.zero(4)
+        z = SymZMat(4)
         assert not verify_certificate(z, id_pair("1001"), "plain").passed
         assert not verify_certificate(z, id_pair("1001"), "farkas").passed
 
     def test_perturbed_certificate_fails(self):
-        rows = base_certificate("C_1001").matrix.rows()
+        rows = base_certificate("C_1001").matrix.square()
         rows[0][2] = rows[2][0] = Fraction(2)
         rep = verify_certificate(SymZMat.from_rows(rows), id_pair("1001"), "farkas")
         assert not rep.passed
@@ -145,7 +146,7 @@ class TestVerifiers:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            verify_certificate(SymZMat.zero(5), id_pair("1001"), "farkas")
+            verify_certificate(SymZMat(5), id_pair("1001"), "farkas")
 
     def test_every_vertex_accepted(self):
         # the zero matrix ties every permutation, so the reported minimiser
@@ -153,7 +154,7 @@ class TestVerifiers:
         for images in itertools.permutations(range(1, 5)):
             pi = Perm(images)
             pair = HalfLinePair(pi, Word.parse("1001"))
-            rep = verify_certificate(SymZMat.zero(4), pair, "farkas")
+            rep = verify_certificate(SymZMat(4), pair, "farkas")
             assert (rep.perm_min, rep.cut_min, rep.target) == (0, 0, 0)
             assert rep.perm_argmin != pi.canonical()
             assert rep.offender == "target cut 1001: value 0 >= 0"
@@ -163,7 +164,7 @@ class TestVerifiers:
         # sigma it vanishes on the preimages of the prefixes, and the first of
         # those off the target class is the offender, in the pair's own words
         sigma = Perm.parse("3,1,4,5,2")
-        pair = HalfLinePair(sigma, Word.from_set(5, sigma.preimage_of_set({1})))
+        pair = HalfLinePair(sigma, Word.from_set(5, preimage_of_set(sigma, {1})))
         d = conjugate(path_certificate(5), sigma)
         rep = verify_certificate(d, pair, "plain")
         assert not rep.passed
@@ -175,10 +176,10 @@ class TestVerifiers:
     def test_exhaustion_bound(self, monkeypatch):
         monkeypatch.delenv("LINEMETRIC_MAX_N", raising=False)
         with pytest.raises(ValueError, match="too large"):
-            verify_certificate(SymZMat.zero(13), id_pair("1" + "0" * 12), "farkas")
+            verify_certificate(SymZMat(13), id_pair("1" + "0" * 12), "farkas")
         # a value below the verifier's default, meant for the oracle, leaves it alone
         monkeypatch.setenv("LINEMETRIC_MAX_N", "7")
-        rep = verify_certificate(SymZMat.zero(9), id_pair("110011001"), "farkas")
+        rep = verify_certificate(SymZMat(9), id_pair("110011001"), "farkas")
         assert not rep.passed and "target" in rep.offender
 
     def test_antipodal_vertex_accepted(self):
@@ -204,7 +205,7 @@ class TestTransport:
             pair = HalfLinePair(pi, u)
             sigma, moved = symmetry_transport(pair)
             assert moved.pi.is_identity()
-            back = Word.from_set(n, sigma.preimage_of_set(moved.u.elements))
+            back = Word.from_set(n, preimage_of_set(sigma, moved.u.elements))
             assert back == u
 
     def test_conjugated_certificate_passes_everywhere_s4(self):
@@ -212,7 +213,7 @@ class TestTransport:
         base_u = Word.parse("1001")
         for images in itertools.permutations(range(1, 5)):
             sigma = Perm(images)
-            pair = HalfLinePair(sigma, Word.from_set(4, sigma.preimage_of_set(base_u.elements)))
+            pair = HalfLinePair(sigma, Word.from_set(4, preimage_of_set(sigma, base_u.elements)))
             moved_cert = conjugate(cert, sigma)
             rep = verify_certificate(moved_cert, pair, "farkas")
             assert rep.passed and rep.target == -4

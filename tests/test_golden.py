@@ -14,7 +14,7 @@ import random
 from pathlib import Path
 
 from linemetric import HalfLinePair, Perm, SymZMat, Word, classify, synthesize
-from linemetric.core import word_classes
+from linemetric.core import parse_matrix_json, word_classes
 
 GOLDEN = Path(__file__).parent / "data" / "certificates.jsonl"
 
@@ -49,7 +49,7 @@ def test_golden_certificates():
     for pair, line in zip(pairs, lines):
         assert _line(pair) == line, f"certificate changed for {pair.to_json()}"
         matrix = json.loads(line)["matrix"]
-        assert SymZMat.from_json(matrix).to_json() == matrix
+        assert SymZMat.of_pairs(*parse_matrix_json(matrix)).to_json() == matrix
 
 
 if __name__ == "__main__":

@@ -25,17 +25,15 @@ from linemetric import (
     Word,
     analyze_metric,
     cut_metric,
-    decomposition_cone_check,
     embed,
     incident_sets,
     perm_metric,
-    perm_vertex,
-    polar_vertex,
     qn_facet_value,
     recover_embedding,
     separated_membership,
     spreading_check,
 )
+from test_geometry_reference import decomposition_cone_check, perm_vertex, polar_vertex
 
 
 def rand_hyperplane_point(rnd, n, denom=1):
@@ -46,14 +44,14 @@ def rand_hyperplane_point(rnd, n, denom=1):
 
 class TestEmbed:
     def test_identity_example(self):
-        assert embed([1, 2, 3]).rows() == [
+        assert embed([1, 2, 3]).square() == [
             [0, 1, 2],
             [1, 0, 1],
             [2, 1, 0],
         ]
 
     def test_zero(self):
-        assert embed([0, 0, 0]) == SymZMat.zero(3)
+        assert embed([0, 0, 0]) == SymZMat(3)
 
     def test_sign_and_translation_invariance(self):
         rnd = random.Random(31)
@@ -67,7 +65,7 @@ class TestEmbed:
 
 class TestCutMetric:
     def test_example_100(self):
-        assert cut_metric(Word.parse("100")).rows() == [
+        assert cut_metric(Word.parse("100")).square() == [
             [0, 1, 1],
             [1, 0, 0],
             [1, 0, 0],
@@ -118,7 +116,7 @@ class TestRecoverEmbedding:
             assert list(got) == x or list(got) == [-v for v in x]
 
     def test_zero_matrix(self):
-        assert recover_embedding(SymZMat.zero(4)) == (0, 0, 0, 0)
+        assert recover_embedding(SymZMat(4)) == (0, 0, 0, 0)
 
     def test_zero_first_coordinate_gap(self):
         # distances from coordinate 1 can vanish without breaking recovery

@@ -100,7 +100,7 @@ class TestVerdicts:
             weight += y
             total = total + cut_metric(w).scale(y)
         assert weight == 1
-        assert total == SymZMat.zero(pair.n)
+        assert total == SymZMat(pair.n)
 
 
 class TestAgreement:

@@ -1,4 +1,9 @@
-"""Permutahedron combinatorics: facets, incidence, ridges, normal cones.
+"""Permutahedron combinatorics: incidence and ridges against the geometry.
+
+The package decides incidence and ridges combinatorially; facet values,
+polar vertices and normal cones are the reference geometry of
+test_geometry_reference, and their own checks stay here beside the tests
+that compare the package against them.
 
 Claims covered:
     - facet right-hand sides are the triangular numbers C(|U|+1, 2)
@@ -15,17 +20,14 @@ from fractions import Fraction
 
 import pytest
 
-from linemetric import (
-    Perm,
-    Word,
+from linemetric import Perm, Word, incident, incident_sets, over_the_ridge
+from test_geometry_reference import (
     facet_rhs,
     in_normal_cone,
-    incident,
-    incident_sets,
     over_ridge_sets,
-    over_the_ridge,
     perm_vertex,
     polar_vertex,
+    preimage_of_set,
 )
 
 
@@ -88,7 +90,7 @@ class TestIncidence:
             }
             for sigma in perms:
                 moved = {
-                    u.bits: Word.from_set(n, sigma.preimage_of_set(u.elements))
+                    u.bits: Word.from_set(n, preimage_of_set(sigma, u.elements))
                     for u in words
                 }
                 for pi in perms:

@@ -64,6 +64,7 @@ from linemetric import (
 from linemetric.core import pair_indices
 from linemetric.edge_theory import _cut_table, _margins
 from test_acceptance import DISPATCH_BRANCH_WORDS
+from test_geometry_reference import preimage_of_set
 
 
 def margins_reference(d, pi, u):
@@ -257,7 +258,7 @@ def test_dispatch_families_above_the_default_bound(monkeypatch, text):
     rnd = random.Random(text)
     for _ in range(2):
         pi = Perm(rnd.sample(range(1, n + 1), n))
-        v = Word.from_set(n, pi.preimage_of_set(u.elements))
+        v = Word.from_set(n, preimage_of_set(pi, u.elements))
         assert_agrees_with_relabeling(conjugate(cert.matrix, pi), pi, v)
     neg = cert.matrix.scale(-1)
     rep = verify_certificate(neg, pair, cert.condition)
@@ -312,7 +313,7 @@ def test_cut_mask_at_the_ends_of_the_range_with_ties():
     rnd = random.Random(2031)
     for n in range(3, 8):
         words = list(word_classes(n))
-        matrices = [SymZMat.zero(n), SymZMat.all_ones(n)]
+        matrices = [SymZMat(n), SymZMat.all_ones(n)]
         matrices += [random_matrix(rnd, n, (-1, 0, 1), (1,)) for _ in range(6)]
         for d in matrices:
             for u in {words[0], words[len(words) // 2], words[-1]}:
