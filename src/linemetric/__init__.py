@@ -28,7 +28,6 @@ from .line_metrics import (
     perm_metric,
     qn_facet_value,
     recover_embedding,
-    separated_membership,
     spreading_check,
 )
 from .edge_theory import (

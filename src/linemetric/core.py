@@ -109,7 +109,7 @@ def subset_sums(weights: Iterable[int]) -> list[int]:
 
 def pair_indices(n: int) -> list[tuple[int, int]]:
     """All (k, l) with 1 <= k < l <= n, in lexicographic order."""
-    return [(k, l) for k in range(1, n) for l in range(k + 1, n + 1)]
+    return list(itertools.combinations(range(1, n + 1), 2))
 
 
 def pair_index(n: int, k: int, l: int) -> int:

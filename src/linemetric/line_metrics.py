@@ -81,37 +81,6 @@ def recover_embedding(m: SymZMat) -> Optional[tuple[Fraction, ...]]:
     return tuple(Fraction(sign * (n * v - total), n * m.denom) for v in x)
 
 
-def separated_membership(m: SymZMat) -> Optional[tuple[Perm, tuple[Fraction, ...]]]:
-    """Decide membership in the unit-separated line metrics.
-
-    Returns (pi, x) with M(x) = m, x in the normal cone of pi, and all
-    pairwise gaps >= 1; pi is the lex-smaller member of its antipodal pair
-    and x is the matching sign choice.  None when m is not a separated line
-    metric.
-    """
-    x = recover_embedding(m)
-    if x is None:
-        return None
-    return _separated(x)
-
-
-def _separated(x: tuple[Fraction, ...]) -> Optional[tuple[Perm, tuple[Fraction, ...]]]:
-    """separated_membership's (pi, x), or None, from an already recovered embedding x."""
-    n = len(x)
-    order = sorted(range(1, n + 1), key=lambda j: x[j - 1])
-    for a, b in zip(order, order[1:]):
-        if x[b - 1] - x[a - 1] < 1:
-            return None
-    images = [0] * n
-    for rank, j in enumerate(order, start=1):
-        images[j - 1] = rank
-    pi = Perm(images)
-    canon = pi.canonical()
-    if canon != pi:
-        return canon, tuple(-v for v in x)
-    return pi, tuple(x)
-
-
 @dataclass(frozen=True)
 class SpreadingViolation:
     i: int
@@ -232,12 +201,24 @@ class LineMetric:
 
 
 def analyze_metric(m: SymZMat) -> LineMetric:
-    """Classify m: line-embeddable at all, and unit-separated if so."""
+    """Classify m: line-embeddable at all, and unit-separated if so.
+
+    A separated m comes with pi and a witness x such that M(x) = m, x lies in
+    the normal cone of pi and all pairwise gaps are >= 1; pi is the
+    lex-smaller member of its antipodal pair and x is the matching sign
+    choice.  An embeddable m that is not separated keeps recover_embedding's x.
+    """
     x = recover_embedding(m)
     if x is None:
         return LineMetric(m, None, False)
-    sep = _separated(x)
-    if sep is None:
+    order = sorted(range(1, m.n + 1), key=lambda j: x[j - 1])
+    if any(x[b - 1] - x[a - 1] < 1 for a, b in zip(order, order[1:])):
         return LineMetric(m, x, False)
-    pi, xs = sep
-    return LineMetric(m, xs, True, pi)
+    images = [0] * m.n
+    for rank, j in enumerate(order, start=1):
+        images[j - 1] = rank
+    pi = Perm(images)
+    canon = pi.canonical()
+    if canon != pi:
+        return LineMetric(m, tuple(-v for v in x), True, canon)
+    return LineMetric(m, x, True, pi)

@@ -76,59 +76,51 @@ def _phase_one(rows: list[list], e: list) -> tuple:
     """Feasibility of {y >= 0, lam : sum_i y_i rows[i] + lam e = 0, sum y_i = 1}.
 
     Returns ('solved', y, lam) when that alternative system is feasible, or
-    ('blocked', v) with the Phase-I dual vector v otherwise.  Bland's rule
-    guarantees termination; the right-hand side is a unit vector, so the
-    tableau starts feasible with an all-artificial basis.
+    ('blocked', v) with the Phase-I dual vector v otherwise.  The tableau's
+    columns are the m y columns, lam+ and lam-, one artificial per row, and
+    the right-hand side; its rows are one per coordinate of e, sum y_i = 1,
+    and the cost row, the reduced costs for minimizing the artificial sum.
+    So one elimination per pivot updates rows, right-hand side and objective.
+    The right-hand side is a unit vector, so the tableau starts feasible with
+    an all-artificial basis; Bland's rule guarantees termination.
     """
     m = len(rows)
     dim = len(e)
     nrows = dim + 1
     ncols = m + 2  # y columns, then lam split into lam+ and lam-
-    total = ncols + nrows
+    width = ncols + nrows + 1  # then one artificial per row, then the right-hand side
     zero = Fraction(0)
     one = Fraction(1)
 
-    A = [[zero] * total for _ in range(nrows)]
-    b = [zero] * nrows
+    tab = [[zero] * width for _ in range(nrows + 1)]
     for i, r in enumerate(rows):
         for kk in range(dim):
             if r[kk]:
-                A[kk][i] = r[kk]
-        A[dim][i] = one
+                tab[kk][i] = r[kk]
+        tab[dim][i] = one
     for kk in range(dim):
         if e[kk]:
-            A[kk][m] = e[kk]
-            A[kk][m + 1] = -e[kk]
-    b[dim] = one
-
-    basis = []
+            tab[kk][m] = e[kk]
+            tab[kk][m + 1] = -e[kk]
+    tab[dim][-1] = one
     for r in range(nrows):
-        A[r][ncols + r] = one
-        basis.append(ncols + r)
-
-    # reduced costs for minimizing the artificial sum
-    obj = [zero] * total
-    for j in range(ncols):
-        s = zero
-        for r in range(nrows):
-            s += A[r][j]
-        obj[j] = -s
-    objval = -sum(b, zero)
+        tab[r][ncols + r] = one
+    basis = list(range(ncols, ncols + nrows))
+    cost = tab[nrows]
+    for j in [*range(ncols), -1]:
+        cost[j] = -sum((tab[r][j] for r in range(nrows)), zero)
 
     while True:
-        enter = -1
-        for j in range(ncols):  # artificials never reenter
-            if obj[j] < zero:
-                enter = j
-                break
+        # artificials never reenter
+        enter = next((j for j in range(ncols) if cost[j] < zero), -1)
         if enter < 0:
             break
         leave = -1
         best = None
         for r in range(nrows):
-            arj = A[r][enter]
+            arj = tab[r][enter]
             if arj > zero:
-                ratio = b[r] / arj
+                ratio = tab[r][-1] / arj
                 if (
                     best is None
                     or ratio < best
@@ -138,68 +130,50 @@ def _phase_one(rows: list[list], e: list) -> tuple:
                     leave = r
         if leave < 0:
             raise AssertionError("phase-1 objective unbounded below zero")
-        piv_row = A[leave]
+        piv_row = tab[leave]
         inv = one / piv_row[enter]
-        for j in range(total):
+        for j in range(width):
             if piv_row[j]:
                 piv_row[j] *= inv
-        b[leave] *= inv
-        for r in range(nrows):
-            if r == leave:
-                continue
-            f = A[r][enter]
-            if f:
-                row = A[r]
-                for j in range(total):
+        for r, row in enumerate(tab):
+            f = row[enter]
+            if f and r != leave:
+                for j in range(width):
                     if piv_row[j]:
                         row[j] -= f * piv_row[j]
-                b[r] -= f * b[leave]
-        f = obj[enter]
-        if f:
-            for j in range(total):
-                if piv_row[j]:
-                    obj[j] -= f * piv_row[j]
-            objval -= f * b[leave]
         basis[leave] = enter
 
-    if objval == zero:
-        y = [Fraction(0)] * m
-        lam = Fraction(0)
-        for r, bv in enumerate(basis):
-            if bv < m:
-                y[bv] = b[r]
-            elif bv == m:
-                lam += b[r]
-            elif bv == m + 1:
-                lam -= b[r]
-        return "solved", y, lam
-    v = [one - obj[ncols + r] for r in range(nrows)]
-    return "blocked", v, None
+    if cost[-1] != zero:
+        return "blocked", [one - cost[ncols + r] for r in range(nrows)], None
+    y = [zero] * m
+    lam = zero
+    for r, bv in enumerate(basis):
+        if bv < m:
+            y[bv] = tab[r][-1]
+        elif bv == m:
+            lam += tab[r][-1]
+        elif bv == m + 1:
+            lam -= tab[r][-1]
+    return "solved", y, lam
 
 
 def _decide_at_vertex(pi: Perm, u: Word) -> tuple:
     """Run the feasibility system for the pair (pi, U) and re-verify the witness."""
     n = pi.n
     mpi = _upper(perm_metric(pi))
-    perm_rows = []
-    perm_tags = []
+    rows = []
+    tags = []  # the permutation class or cut class each row stands for
     for sigma in perm_classes(n):
-        if sigma == pi.canonical():
-            continue
-        row = [a - c for a, c in zip(_upper(perm_metric(sigma)), mpi)]
-        perm_rows.append(row)
-        perm_tags.append(sigma)
-    cut_rows = []
-    cut_tags = []
+        if sigma != pi.canonical():
+            rows.append([a - c for a, c in zip(_upper(perm_metric(sigma)), mpi)])
+            tags.append(sigma)
     target_class = u.canonical()
     for w in word_classes(n):
-        if w == target_class:
-            continue
-        cut_rows.append(_upper(cut_metric(w)))
-        cut_tags.append(w)
+        if w != target_class:
+            rows.append(_upper(cut_metric(w)))
+            tags.append(w)
     e = _upper(cut_metric(u))
 
-    rows = perm_rows + cut_rows
     outcome = _phase_one(rows, e)
     if outcome[0] == "blocked":
         v = outcome[1]
@@ -226,10 +200,8 @@ def _decide_at_vertex(pi: Perm, u: Word) -> tuple:
                 combo[kk] += yi * row[kk]
     if weight != 1 or any(c != 0 for c in combo):
         raise AssertionError("vanishing combination failed re-verification")
-    dual_perm = {p: y[i] for i, p in enumerate(perm_tags) if y[i]}
-    dual_cut = {
-        w: y[len(perm_rows) + i] for i, w in enumerate(cut_tags) if y[len(perm_rows) + i]
-    }
+    dual_perm = {tag: yi for tag, yi in zip(tags, y) if yi and isinstance(tag, Perm)}
+    dual_cut = {tag: yi for tag, yi in zip(tags, y) if yi and isinstance(tag, Word)}
     return False, None, dual_perm, dual_cut, lam
 
 

@@ -24,6 +24,7 @@ from linemetric import (
     Perm,
     SymZMat,
     Word,
+    analyze_metric,
     base_certificate,
     classify,
     cut_metric,
@@ -35,7 +36,6 @@ from linemetric import (
     oracle_classify,
     perm_classes,
     perm_metric,
-    separated_membership,
     spreading_check,
     synthesize,
     verify_certificate,
@@ -255,9 +255,9 @@ def test_criterion_5b_cone_disjointness():
                     v[j] + sum(c * g[j] for c, g in zip(coeffs, gens))
                     for j in range(n)
                 ]
-                got = separated_membership(embed(x))
-                assert got is not None
-                assert got[0] == pi.canonical()
+                got = analyze_metric(embed(x))
+                assert got.separated
+                assert got.pi == pi.canonical()
                 checked += 1
     ok(5, f"cone samples always land back in their own cone ({checked} samples, n<=5)")
 
@@ -319,7 +319,7 @@ def test_criterion_6_hull_is_not_closed_at_n4():
     ray = cut_metric(Word.parse("1001"))
     for t in (Fraction(1, 2), Fraction(1), Fraction(2)):
         point = base + ray.scale(t)
-        assert separated_membership(point) is None
+        assert not analyze_metric(point).separated
         for images in itertools.permutations(range(1, 5)):
             assert not _in_translated_cone(point, Perm(images))
     ok(

@@ -1,7 +1,7 @@
 """The paper's polyhedral objects, kept as slow references for the package.
 
 The package decides incidence, ridges and the decomposition combinatorially
-(`permutahedron.incident`, `over_the_ridge`, `line_metrics.separated_membership`)
+(`permutahedron.incident`, `over_the_ridge`, `line_metrics.analyze_metric`)
 and relabels words with `Word.compose`.  The functions here spell out the
 geometry those shortcuts stand for, in exact `Fraction` coordinates of the
 centered permutahedron in the zero-sum hyperplane Lambda = {x : sum x_j = 0}:

@@ -30,7 +30,6 @@ from linemetric import (
     perm_metric,
     qn_facet_value,
     recover_embedding,
-    separated_membership,
     spreading_check,
 )
 from test_geometry_reference import decomposition_cone_check, perm_vertex, polar_vertex
@@ -143,24 +142,24 @@ class TestRecoverEmbedding:
 
 class TestSeparatedMembership:
     def test_identity_metric(self):
-        pi, x = separated_membership(perm_metric(Perm.identity(3)))
-        assert pi == Perm.identity(3)
-        assert x == (-1, 0, 1)
+        got = analyze_metric(perm_metric(Perm.identity(3)))
+        assert got.separated
+        assert got.pi == Perm.identity(3)
+        assert got.witness == (-1, 0, 1)
 
     def test_cut_metric_is_not_separated(self):
-        assert separated_membership(cut_metric(Word.parse("100"))) is None
+        assert not analyze_metric(cut_metric(Word.parse("100"))).separated
 
     def test_vertex_plus_incident_cut_is_separated(self):
         m = perm_metric(Perm.identity(4)) + cut_metric(Word.parse("1000"))
-        got = separated_membership(m)
-        assert got is not None
-        pi, x = got
-        assert pi == Perm.identity(4)
-        assert embed(x) == m
+        got = analyze_metric(m)
+        assert got.separated
+        assert got.pi == Perm.identity(4)
+        assert embed(got.witness) == m
 
     def test_point_on_certified_edge_leaves_the_set(self):
         m = perm_metric(Perm.identity(4)) + cut_metric(Word.parse("1001"))
-        assert separated_membership(m) is None
+        assert not analyze_metric(m).separated
 
     def test_canonical_representative(self):
         rnd = random.Random(34)
@@ -177,11 +176,10 @@ class TestSeparatedMembership:
             z = [Fraction(0)] * n
             for pos, val in zip(order, y):
                 z[pos] = val
-            got = separated_membership(embed(z))
-            assert got is not None
-            pi, w = got
-            assert pi == pi.canonical()
-            assert embed(w) == embed(z)
+            got = analyze_metric(embed(z))
+            assert got.separated
+            assert got.pi == got.pi.canonical()
+            assert embed(got.witness) == embed(z)
 
 
 class TestConeIdentity:

@@ -10,6 +10,8 @@ Claims covered:
     - classify and the oracle give one verdict on all four name variants of
       a pair (antipode, complement), by property testing for n <= 5
     - positive scaling preserves witness feasibility (homogeneity)
+    - the Phase-I simplex gives the hand-derived answer on two small systems,
+      one with a ratio tie that Bland's rule breaks by the smaller basic column
     - the size bound is enforced
 """
 
@@ -34,7 +36,7 @@ from linemetric import (
     verify_certificate,
     word_classes,
 )
-from linemetric.oracle import _decide_at_vertex
+from linemetric.oracle import _decide_at_vertex, _phase_one
 
 
 def id_pair(u_text):
@@ -176,6 +178,37 @@ class TestHomogeneity:
                 assert val == 0
             else:
                 assert val > 0
+
+
+def fracs(*rows):
+    return [[Fraction(a) for a in row] for row in rows]
+
+
+class TestPhaseOne:
+    def test_solved_unique_combination(self):
+        # y1 (1,1) + y2 (-1,1) + lam (0,1) = 0 with y1 + y2 = 1 forces
+        # y1 = y2 = 1/2 and lam = -1
+        rows = fracs([1, 1], [-1, 1])
+        (e,) = fracs([0, 1])
+        assert _phase_one(rows, e) == ("solved", [Fraction(1, 2), Fraction(1, 2)], Fraction(-1))
+
+    def test_blocked_tie_leaves_by_smaller_basic_column(self):
+        # y1 (0,2) + y2 (-2,0) + lam (1,1) = 0 needs y1 + y2 = 0, so the
+        # system is infeasible.  Columns: y1 0, y2 1, lam+ 2, lam- 3,
+        # artificials 4..6.  Pivot 1: y1 enters at ratio 0 in row 1 (basis
+        # 4, 0, 6).  Pivot 2: lam+ enters and rows 0 and 1 tie at ratio 0;
+        # row 1's basic column 0 is smaller than row 0's 4, so row 1 leaves.
+        # The artificial reduced costs end at (0, 2, 0), so v = 1 - them.
+        # Leaving row 0 instead would end at v = (1/2, -1/2, 1).
+        rows = fracs([0, 2], [-2, 0])
+        (e,) = fracs([1, 1])
+        status, v, _ = _phase_one(rows, e)
+        assert status == "blocked"
+        assert v == [1, -1, 1]
+        # d = -v[:-1] / v[-1] separates: margins 2 on both rows, 0 on e
+        d = [-a / v[-1] for a in v[:-1]]
+        assert [sum(a * x for a, x in zip(row, d)) for row in rows] == [2, 2]
+        assert sum(a * x for a, x in zip(e, d)) == 0
 
 
 class TestBounds:

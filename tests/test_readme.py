@@ -17,7 +17,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # expression in the tour -> (its value, the start of its comment)
 STATED = {
-    "separated_membership(m)": (
+    "(lm.pi, lm.witness)": (
         (Perm([1, 2, 3]), (Fraction(-7, 6), Fraction(-1, 6), Fraction(4, 3))),
         "(Perm([1, 2, 3]), (-7/6, -1/6, 4/3))",
     ),
